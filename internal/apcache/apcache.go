@@ -1,8 +1,8 @@
 // Package apcache implements the AP-side APE-CACHE runtime of §IV: a DNS
 // server that extends the dnsmasq-like forwarder with DNS-Cache query
 // handling (batched per-domain cache flags piggybacked in the Additional
-// section, dummy-IP short-circuit when a domain is fully cached), an HTTP
-// endpoint serving cached objects, and a delegation endpoint that
+// section, dummy-IP short-circuit when no URL of a domain is a Cache-Miss),
+// an HTTP endpoint serving cached objects, and a delegation endpoint that
 // fetch-throughs from the edge and feeds the PACM-managed cache.
 package apcache
 
@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"apecache/internal/cachepolicy"
-	"apecache/internal/decisionlog"
 	"apecache/internal/coherence"
+	"apecache/internal/decisionlog"
 	"apecache/internal/dnsd"
 	"apecache/internal/dnswire"
 	"apecache/internal/httplite"
@@ -556,14 +556,17 @@ func (ap *AP) handleDelegate(req *httplite.Request) *httplite.Response {
 
 	// Singleflight: concurrent delegations for the same URL trigger one
 	// edge fetch; followers wait and serve the freshly cached copy.
-	if body, ok := ap.awaitDelegation(basic); ok {
+	body, served, claimed := ap.awaitDelegation(basic)
+	if served {
 		ap.account(OpCacheServe, len(body))
 		outcome = "follower"
 		resp := httplite.NewResponse(200, body)
 		resp.Set("X-Ape-Source", "ap-cache")
 		return resp
 	}
-	defer ap.releaseDelegation(basic)
+	if claimed {
+		defer ap.releaseDelegation(basic)
+	}
 
 	// Cooperative mesh tier: before paying the edge round trip, ask the
 	// mesh directory whether a nearby peer AP already holds the object

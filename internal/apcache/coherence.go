@@ -20,7 +20,8 @@ const (
 // Delegation-coalescing poll parameters. Followers wait for the leader's
 // edge fetch by sleeping — bare channel waits are forbidden under the
 // simulated clock — and give up after delegateWaitRounds to fetch on
-// their own (leader failed or the object was block-listed).
+// their own, without the claim (leader failed or the object was
+// block-listed).
 const (
 	delegatePollInterval = 2 * time.Millisecond
 	delegateWaitRounds   = 500
@@ -150,14 +151,18 @@ func (ap *AP) revalidate(url string) {
 
 // awaitDelegation is the follower side of delegation singleflight: if a
 // leader is already fetching url from the edge, wait for it and serve the
-// cached result. Returns ok=false when the caller is the leader (and must
-// call releaseDelegation) — including after a timed-out wait.
-func (ap *AP) awaitDelegation(url string) ([]byte, bool) {
+// cached result (served). Otherwise the caller fetches from the edge
+// itself; claimed reports whether it took the singleflight claim, and
+// only a caller that took it may releaseDelegation. A follower whose wait
+// runs out, or whose leader failed, fetches without claiming: the claim
+// may by then belong to a later leader, and releasing it would let a
+// further request start a duplicate edge fetch.
+func (ap *AP) awaitDelegation(url string) (body []byte, served, claimed bool) {
 	ap.mu.Lock()
 	if !ap.delegating[url] {
 		ap.delegating[url] = true
 		ap.mu.Unlock()
-		return nil, false
+		return nil, false, true
 	}
 	ap.mu.Unlock()
 	for range delegateWaitRounds {
@@ -170,14 +175,11 @@ func (ap *AP) awaitDelegation(url string) ([]byte, bool) {
 		}
 	}
 	if e, ok := ap.store.Get(url); ok {
-		return e.Data, true
+		return e.Data, true, false
 	}
 	// The leader failed, or the object is block-listed/gated: fetch on
 	// our own rather than failing the client.
-	ap.mu.Lock()
-	ap.delegating[url] = true
-	ap.mu.Unlock()
-	return nil, false
+	return nil, false, false
 }
 
 // releaseDelegation ends a leader's singleflight claim.

@@ -274,6 +274,57 @@ func TestConcurrentDelegationsCoalesce(t *testing.T) {
 	})
 }
 
+// TestTimedOutFollowerKeepsLaterClaim staggers delegations of one URL
+// against an edge fetch (about 2.1 s) slower than the follower wait (1 s):
+//
+//	t=0.0  A claims and fetches (done 2.1, releases)
+//	t=0.5  B follows, gives up at 1.5 and fetches (done 3.6)
+//	t=2.5  C claims and fetches (done 4.6)
+//	t=3.8  D arrives while C holds the claim
+//
+// D must follow C and be served from the cache. If B's finish released
+// C's claim, D would start a fourth edge fetch.
+func TestTimedOutFollowerKeepsLaterClaim(t *testing.T) {
+	runCoh(t, coherence.ModeOff, func(fx *cohFixture) {
+		// 2 KiB/s: the 4 KiB response alone takes 2 s on the link, with a
+		// fresh connection or a pooled one alike.
+		fx.net.SetLink("ap", "edge", simnet.Path{Latency: 10 * time.Millisecond, Bandwidth: 2 << 10})
+		start := fx.sim.Now()
+		var mu sync.Mutex
+		sources := make(map[string]string)
+		for _, c := range []struct {
+			name string
+			at   time.Duration
+		}{{"A", 0}, {"B", 500 * time.Millisecond}, {"C", 2500 * time.Millisecond}, {"D", 3800 * time.Millisecond}} {
+			fx.sim.Go("test.client."+c.name, func() {
+				fx.sim.Sleep(c.at)
+				resp := cohDelegate(t, fx)
+				if resp.Status != 200 || !bytes.Equal(resp.Body, fx.obj.Body()) {
+					t.Errorf("%s: status %d", c.name, resp.Status)
+				}
+				mu.Lock()
+				sources[c.name] = resp.Get("X-Ape-Source")
+				mu.Unlock()
+			})
+		}
+		fx.sim.Sleep(10 * time.Second)
+		if elapsed := fx.sim.Now().Sub(start); elapsed < 10*time.Second {
+			t.Fatalf("clock advanced only %v", elapsed)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(sources) != 4 {
+			t.Fatalf("only %d/4 delegations answered: %v", len(sources), sources)
+		}
+		if sources["D"] != "ap-cache" {
+			t.Errorf("D answered from %q, want ap-cache (follower of C)", sources["D"])
+		}
+		if got := fx.edge.Hits + fx.edge.Misses; got != 3 {
+			t.Errorf("edge fetches = %d, want 3 (A, the timed-out B, C)", got)
+		}
+	})
+}
+
 func TestSweeperHonorsConfiguredInterval(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	sim.Run("main", func() {

@@ -261,8 +261,12 @@ func TestDelegationSingleflightRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, ok := ap.awaitDelegation(target)
-			if !ok {
+			body, served, claimed := ap.awaitDelegation(target)
+			if !served {
+				if !claimed {
+					t.Error("fetching without a claim: the 1 s wait ran out")
+					return
+				}
 				// Leader: simulate the upstream fetch, then publish.
 				leaders.Add(1)
 				time.Sleep(20 * time.Millisecond)

@@ -36,46 +36,35 @@ func (s *Store) Purge(url string, version int64, gone, keepStale bool) (resident
 	url = dnswire.BasicURL(url)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	now := s.clock.Now()
 	if version > s.purged[url] {
 		s.purged[url] = version
 	}
 	if gone {
-		s.setNegative(url, s.clock.Now().Add(s.negativeTTL))
+		s.negative[url] = now.Add(s.negativeTTL)
 	}
 	e, ok := s.entries[url]
 	if !ok || e.Version >= version {
-		if s.ledger != nil && gone && !ok {
+		if gone && !ok {
 			// Deleted at the origin with no resident copy: the negative
 			// window now answers for the URL, so later misses attribute
-			// to the purge.
-			s.ledger.Record(decisionlog.Event{Time: s.clock.Now(),
-				Op: decisionlog.OpPurge, URL: url, Version: version, Gone: true})
+			// to the purge in the ledger.
+			s.record(decision{op: decisionlog.OpPurge, now: now, url: url, version: version, gone: true})
 		}
 		// Nothing resident, or the copy already is the announced version
 		// (the purge lost a race with our own refresh) — no action.
 		return false, false
 	}
-	s.stats.Purged++
-	s.tel.purge(url, gone)
-	if s.ledger != nil {
-		// Captured before the entry is marked stale or removed: this is
-		// the pre-purge utility standing `apectl explain` renders.
-		ev := s.ledgerEvent(decisionlog.OpPurge, e, s.clock.Now())
-		ev.Gone = gone
-		s.ledger.Record(ev)
-	}
-	if keepStale && !gone {
-		if !e.Stale {
-			// Stale entries no longer count toward the domain's
-			// Cache-Hit set (a repeat purge must not decrement twice).
-			s.domainHitDelta(url, -1)
-		}
+	// Recorded before the entry is marked stale or removed: the ledger
+	// keeps the pre-purge utility standing `apectl explain` renders.
+	keep := keepStale && !gone
+	s.record(decision{op: decisionlog.OpPurge, now: now, e: e, gone: gone, evicted: !keep})
+	if keep {
 		e.Stale = true
 		e.StaleServed = false
 		return true, true
 	}
 	s.removeEntry(url)
-	s.tel.evicted(url, "purged")
 	return true, false
 }
 
@@ -96,11 +85,7 @@ func (s *Store) GetStale(url string) (*Entry, bool) {
 	e.StaleServed = true
 	e.LastUsed = now
 	e.Hits++
-	s.stats.StaleServes++
-	s.tel.staleServe(url)
-	if s.ledger != nil {
-		s.ledger.Record(s.ledgerEvent(decisionlog.OpStaleServe, e, now))
-	}
+	s.record(decision{op: decisionlog.OpStaleServe, now: now, e: e})
 	return e, true
 }
 
@@ -125,18 +110,13 @@ func (s *Store) Revalidated(url string, version int64) bool {
 	if !ok {
 		return false
 	}
+	now := s.clock.Now()
 	e.Version = version
-	if e.Stale {
-		// Stale -> fresh: the URL counts toward the domain's hit set again.
-		e.Stale = false
-		s.domainHitDelta(url, +1)
-	}
+	e.Stale = false
 	e.StaleServed = false
-	e.Expiry = s.clock.Now().Add(e.Object.TTL)
+	e.Expiry = now.Add(e.Object.TTL)
 	s.pushExpiry(url, e.Expiry)
-	if s.ledger != nil {
-		s.ledger.Record(s.ledgerEvent(decisionlog.OpRevalidate, e, s.clock.Now()))
-	}
+	s.record(decision{op: decisionlog.OpRevalidate, now: now, e: e})
 	return true
 }
 
@@ -146,21 +126,15 @@ func (s *Store) MarkGone(url string) {
 	url = dnswire.BasicURL(url)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.setNegative(url, s.clock.Now().Add(s.negativeTTL))
-	if e, ok := s.entries[url]; ok {
-		if s.ledger != nil {
-			ev := s.ledgerEvent(decisionlog.OpPurge, e, s.clock.Now())
-			ev.Gone = true
-			s.ledger.Record(ev)
-		}
-		s.removeEntry(url)
-		s.stats.Purged++
-		s.tel.purge(url, true)
-		s.tel.evicted(url, "purged")
-	} else if s.ledger != nil {
-		s.ledger.Record(decisionlog.Event{Time: s.clock.Now(),
-			Op: decisionlog.OpPurge, URL: url, Gone: true})
+	now := s.clock.Now()
+	s.negative[url] = now.Add(s.negativeTTL)
+	e, ok := s.entries[url]
+	if !ok {
+		s.record(decision{op: decisionlog.OpPurge, now: now, url: url, gone: true})
+		return
 	}
+	s.record(decision{op: decisionlog.OpPurge, now: now, e: e, gone: true, evicted: true})
+	s.removeEntry(url)
 }
 
 // NegativeCached reports whether url is inside its negative-cache window.

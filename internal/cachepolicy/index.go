@@ -2,15 +2,16 @@ package cachepolicy
 
 import (
 	"container/heap"
-	"sync"
 	"time"
+
+	"apecache/internal/dnswire"
 )
 
-// expiryItem is one lazily-invalidated entry in an expiry min-heap. An
-// item is current only while the resident entry for its URL still carries
-// exactly this expiry; refreshes and revalidations push a new item instead
-// of searching for the old one, and superseded items are discarded when
-// they surface at the top.
+// expiryItem is one lazily-invalidated entry in the store's expiry
+// min-heap. An item is current only while the resident entry for its URL
+// still carries exactly this expiry; refreshes and revalidations push a
+// new item instead of searching for the old one, and superseded items are
+// discarded when they surface at the top.
 type expiryItem struct {
 	url    string
 	expiry time.Time
@@ -18,14 +19,20 @@ type expiryItem struct {
 
 // expiryHeap is a min-heap over entry expiries. It gives the store an
 // O(log n) answer to "which entry expires next?" so Put no longer scans
-// every resident entry for TTL expiry, and gives the per-domain index an
-// O(1) answer to "is every entry of this domain still fresh?".
+// every resident entry for TTL expiry. Ties on expiry order by URL: the
+// order is total, so the pop sequence depends only on the items, never on
+// the heap's layout (which a compaction rebuilds).
 type expiryHeap []expiryItem
 
-func (h expiryHeap) Len() int           { return len(h) }
-func (h expiryHeap) Less(i, j int) bool { return h[i].expiry.Before(h[j].expiry) }
-func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiryItem)) }
+func (h expiryHeap) Len() int { return len(h) }
+func (h expiryHeap) Less(i, j int) bool {
+	if !h[i].expiry.Equal(h[j].expiry) {
+		return h[i].expiry.Before(h[j].expiry)
+	}
+	return h[i].url < h[j].url
+}
+func (h expiryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *expiryHeap) Push(x any)   { *h = append(*h, x.(expiryItem)) }
 func (h *expiryHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -34,58 +41,43 @@ func (h *expiryHeap) Pop() any {
 	return it
 }
 
-func (h *expiryHeap) push(url string, expiry time.Time) {
-	heap.Push(h, expiryItem{url: url, expiry: expiry})
-}
-
 // popExpiry removes and returns the heap top.
 func popExpiry(h *expiryHeap) expiryItem {
 	return heap.Pop(h).(expiryItem)
 }
 
-// domainIndex is the per-domain lookup index maintained incrementally on
-// every Put/evict/sweep/purge/stale transition. It makes
-// KnownHashesForDomain O(domain entries) — instead of a scan over every
-// hash the AP has ever seen — and DomainFullyCached O(1) amortized.
-type domainIndex struct {
-	// repair guards the lazily-maintained parts (expiries, negative) so
-	// concurrent readers holding the store's read lock can clean them
-	// without racing each other. Writers hold the store's write lock,
-	// which already excludes readers, but take repair too for symmetry.
-	repair sync.Mutex
-	// known maps every DNS-Cache hash ever seen under the domain to its
-	// basic URL (the batching set of §IV-B; mirrors the domain's slice of
-	// Store.byHash).
-	known map[uint64]string
-	// hits counts resident, non-stale entries — the URLs whose flag is
-	// Cache-Hit provided they are still within TTL. The domain is fully
-	// cached iff hits == len(known), no resident entry has expired, and no
-	// known URL sits in an active negative-cache window.
-	hits int
-	// expiries is the domain's lazy min-heap over resident non-stale
-	// entries; the top (after discarding superseded items) is the earliest
-	// expiry that could break the fully-cached condition.
-	expiries expiryHeap
-	// negative holds known URLs that may be inside a negative-cache
-	// window. Entries are removed lazily once their window lapses (and on
-	// Put, which clears the store-level window too).
-	negative map[string]struct{}
+// expirySlack is how many items beyond two per resident entry the expiry
+// heap may hold before pushExpiry compacts it.
+const expirySlack = 64
+
+// pushExpiry records an entry's (new) expiry. Superseded items leave the
+// heap only when they surface at the top, and a long-lived resident entry
+// can keep them from surfacing, so once the heap outgrows twice the
+// resident count plus expirySlack it is rebuilt from the entries. The
+// heap then stays proportional to the resident set however many Puts the
+// store takes, and each rebuild is paid for by the pushes since the last
+// one. Callers hold the write lock.
+func (s *Store) pushExpiry(url string, expiry time.Time) {
+	if len(s.expiries) > 2*len(s.entries)+expirySlack {
+		s.expiries = s.expiries[:0]
+		for u, e := range s.entries {
+			s.expiries = append(s.expiries, expiryItem{url: u, expiry: e.Expiry})
+		}
+		heap.Init(&s.expiries)
+	}
+	heap.Push(&s.expiries, expiryItem{url: url, expiry: expiry})
 }
 
-func newDomainIndex() *domainIndex {
-	return &domainIndex{
-		known:    make(map[uint64]string),
-		negative: make(map[string]struct{}),
+// indexKnown records a hash→URL sighting in both the global map and the
+// per-domain known-hash index that KnownHashesForDomain and MeshView
+// read. Callers hold the write lock.
+func (s *Store) indexKnown(hash uint64, url string) {
+	s.byHash[hash] = url
+	domain := dnswire.URLDomain(url)
+	known := s.domains[domain]
+	if known == nil {
+		known = make(map[uint64]string)
+		s.domains[domain] = known
 	}
-}
-
-// domainFor returns the index for a canonical domain, creating it when
-// create is set. Callers hold the store's write lock when creating.
-func (s *Store) domainFor(domain string, create bool) *domainIndex {
-	di, ok := s.domains[domain]
-	if !ok && create {
-		di = newDomainIndex()
-		s.domains[domain] = di
-	}
-	return di
+	known[hash] = url
 }

@@ -28,21 +28,6 @@ func scratchKnown(s *Store, domain string) map[uint64]dnswire.CacheFlag {
 	return out
 }
 
-// scratchFullyCached is the pre-index O(n) definition of the dummy-IP
-// short-circuit: at least one known URL and every known URL a Cache-Hit.
-func scratchFullyCached(s *Store, domain string) bool {
-	flags := scratchKnown(s, domain)
-	if len(flags) == 0 {
-		return false
-	}
-	for _, f := range flags {
-		if f != dnswire.FlagCacheHit {
-			return false
-		}
-	}
-	return true
-}
-
 func checkIndexAgreement(t *testing.T, s *Store, domains []string, step int, op string) {
 	t.Helper()
 	for _, d := range domains {
@@ -58,9 +43,6 @@ func checkIndexAgreement(t *testing.T, s *Store, domains []string, step int, op 
 			if got[h] != f {
 				t.Fatalf("step %d (%s) domain %s hash %d: index flag %v, scan flag %v", step, op, d, h, got[h], f)
 			}
-		}
-		if gotFull, wantFull := s.DomainFullyCached(d), scratchFullyCached(s, d); gotFull != wantFull {
-			t.Fatalf("step %d (%s) domain %s: DomainFullyCached=%v, scratch=%v", step, op, d, gotFull, wantFull)
 		}
 	}
 }
@@ -180,7 +162,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				case 9:
 					_ = s.KnownHashesForDomain(domains[rng.Intn(len(domains))])
 				case 10:
-					_ = s.DomainFullyCached(domains[rng.Intn(len(domains))])
+					_, _ = s.MeshView()
 				case 11:
 					s.RecordRequest(dnswire.URLDomain(url))
 					_ = s.Freq().Rate(dnswire.URLDomain(url))
@@ -277,6 +259,36 @@ func TestPACMHeapSelectionMatchesSortReference(t *testing.T) {
 				if !gotSet[e] {
 					t.Fatalf("seed %d: sort reference keeps %s, heap does not", seed, e.Object.URL)
 				}
+			}
+		})
+	}
+}
+
+// TestStoreHeapsStayProportionalToResidents runs 20,000 Puts over 400
+// URLs of one domain into a store that holds about 128 of them. Every Put
+// pushes an expiry item, so a heap that only sheds items when they
+// surface at its top grows with the Put count rather than with the
+// resident set; the store's heaps must stay within a constant factor of
+// the residents throughout.
+func TestStoreHeapsStayProportionalToResidents(t *testing.T) {
+	for _, policy := range []Policy{NewPACM(), NewLRU()} {
+		runStore(t, 128<<10, policy, func(sim *vclock.Sim, s *Store) {
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 20000; i++ {
+				url := fmt.Sprintf("http://api.one.example/o%d", rng.Intn(400))
+				o := testObj(url, "one", 1024, 1+rng.Intn(3), 10*time.Minute)
+				_ = s.Put(o, o.Body(), time.Duration(5+rng.Intn(40))*time.Millisecond)
+				sim.Sleep(10 * time.Millisecond)
+				s.mu.RLock()
+				items, residents := s.expiries.Len(), len(s.entries)
+				s.mu.RUnlock()
+				if items > 2*residents+expirySlack+1 {
+					t.Fatalf("%s: after %d Puts the expiry heap holds %d items for %d residents",
+						policy.Name(), i+1, items, residents)
+				}
+			}
+			if n := s.Len(); n < 100 || n > 128 {
+				t.Fatalf("%s: %d residents, want about 128", policy.Name(), n)
 			}
 		})
 	}

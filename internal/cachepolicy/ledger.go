@@ -31,8 +31,8 @@ func (s *Store) Ledger() *decisionlog.Ledger {
 }
 
 // ledgerEvent builds a decision event carrying the entry's PACM utility
-// standing (U = R(A_d)·e_d·l_d·p_d and its density) at now. Callers hold
-// the write lock and have checked s.ledger != nil.
+// standing (U = R(A_d)·e_d·l_d·p_d and its density) at now. Only record
+// calls it, under the write lock and with a ledger attached.
 func (s *Store) ledgerEvent(op decisionlog.Op, e *Entry, now time.Time) decisionlog.Event {
 	rate := s.freq.Rate(e.Object.App)
 	util := utilityAtRate(e, now, rate)

@@ -48,11 +48,7 @@ func (s *Store) MeshView() (hashes []uint64, domains []MeshDomain) {
 		domain := dnswire.URLDomain(url)
 		d := agg[domain]
 		if d == nil {
-			known := 0
-			if di := s.domains[domain]; di != nil {
-				known = len(di.known)
-			}
-			d = &MeshDomain{Domain: domain, Known: known}
+			d = &MeshDomain{Domain: domain, Known: len(s.domains[domain])}
 			agg[domain] = d
 		}
 		d.Fresh++

@@ -123,13 +123,15 @@ type StoreStats struct {
 // Store is the AP cache: a capacity-bounded object store with TTL expiry,
 // a block list for oversized objects, and a pluggable eviction policy.
 //
-// The hot lookup path — Flag, FlagByHash, KnownHashesForDomain,
-// DomainFullyCached, Get — runs under a read lock so concurrent DNS and
-// HTTP handlers never serialize against each other; only mutations (Put,
-// eviction, the sweeper, coherence purges) take the write side. Domain
-// queries are answered from an incrementally-maintained per-domain index
-// instead of scanning every hash the AP has ever seen, and TTL expiry is
-// tracked in a min-heap so admissions no longer scan all entries.
+// The hot lookup path — Flag, FlagByHash, KnownHashesForDomain, Get —
+// runs under a read lock so concurrent DNS and HTTP handlers never
+// serialize against each other; only mutations (Put, eviction, the
+// sweeper, coherence purges) take the write side. Domain queries are
+// answered from a per-domain known-hash index instead of scanning every
+// hash the AP has ever seen, and TTL expiry is tracked in a min-heap so
+// admissions no longer scan all entries. Every lifecycle decision goes
+// through one recorder (record), which keeps StoreStats, the telemetry
+// counters, the event log and the decision ledger in step.
 type Store struct {
 	mu            sync.RWMutex
 	clock         vclock.Clock
@@ -156,10 +158,11 @@ type Store struct {
 	// expiries is the store-wide lazy min-heap over resident entries'
 	// expiries (stale entries included — they expire too).
 	expiries expiryHeap
-	// domains is the per-domain lookup index (see index.go).
-	domains map[string]*domainIndex
-	// tel is the optional telemetry hookup (see telemetry.go); nil keeps
-	// every hook a no-op.
+	// domains maps each canonical domain to the DNS-Cache hashes ever
+	// seen under it and their basic URLs (see indexKnown).
+	domains map[string]map[uint64]string
+	// tel holds the telemetry instruments (see telemetry.go); until
+	// Instrument runs they are nil, and nil instruments are no-ops.
 	tel *storeTel
 	// ledger is the optional decision ledger (see ledger.go); nil keeps
 	// the miss path classification-free and every record a no-op.
@@ -187,7 +190,8 @@ func NewStore(clock vclock.Clock, capacity int64, maxObjectSize int64, policy Po
 		purged:        make(map[string]int64),
 		negative:      make(map[string]time.Time),
 		negativeTTL:   DefaultNegativeTTL,
-		domains:       make(map[string]*domainIndex),
+		domains:       make(map[string]map[uint64]string),
+		tel:           &storeTel{},
 	}
 }
 
@@ -274,55 +278,15 @@ func (s *Store) FlagByHash(h uint64) dnswire.CacheFlag {
 func (s *Store) KnownHashesForDomain(domain string) []dnswire.CacheEntry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	domain = dnswire.CanonicalName(domain)
-	di := s.domains[domain]
-	if di == nil || len(di.known) == 0 {
+	known := s.domains[dnswire.CanonicalName(domain)]
+	if len(known) == 0 {
 		return nil
 	}
-	out := make([]dnswire.CacheEntry, 0, len(di.known))
-	for h, url := range di.known {
+	out := make([]dnswire.CacheEntry, 0, len(known))
+	for h, url := range known {
 		out = append(out, dnswire.CacheEntry{Hash: h, Flag: s.flagLocked(url)})
 	}
 	return out
-}
-
-// DomainFullyCached reports whether every URL known under the domain is a
-// fresh cache hit (the dummy-IP short-circuit condition) — and at least
-// one is known. Answered in O(1) amortized from the per-domain index: the
-// hit counter must cover every known hash, no known URL may sit in an
-// active negative window, and the domain's earliest resident expiry (the
-// lazily-repaired heap top) must still be in the future.
-func (s *Store) DomainFullyCached(domain string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	domain = dnswire.CanonicalName(domain)
-	di := s.domains[domain]
-	if di == nil || len(di.known) == 0 {
-		return false
-	}
-	if di.hits != len(di.known) {
-		return false // some URL is evicted, blocked, or stale
-	}
-	now := s.clock.Now()
-	di.repair.Lock()
-	defer di.repair.Unlock()
-	for url := range di.negative {
-		until, ok := s.negative[url]
-		if ok && now.Before(until) {
-			return false // resident copy shadowed by a negative window
-		}
-		delete(di.negative, url) // window lapsed (or cleared): forget it
-	}
-	for di.expiries.Len() > 0 {
-		top := di.expiries[0]
-		e, ok := s.entries[top.url]
-		if !ok || e.Stale || !e.Expiry.Equal(top.expiry) {
-			popExpiry(&di.expiries) // superseded item
-			continue
-		}
-		return now.Before(top.expiry) // earliest live expiry decides
-	}
-	return false // hits > 0 but no live heap item: be conservative
 }
 
 // Get returns the entry for url if fresh and not purged, updating recency
@@ -332,27 +296,20 @@ func (s *Store) DomainFullyCached(domain string) bool {
 func (s *Store) Get(url string) (*Entry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	now := s.clock.Now()
 	e, ok := s.entries[url]
-	if !ok {
-		s.tel.lookup(false)
+	if !ok || !e.Fresh(now) || e.Stale {
+		s.tel.misses.Inc()
 		if s.ledger != nil {
-			// Classification sites mirror the miss-counter sites exactly:
+			// The classification site mirrors the miss counter exactly:
 			// that is what makes Σ cause counts == total misses an
 			// identity rather than an approximation.
-			s.ledger.Classify(url, s.clock.Now())
-		}
-		return nil, false
-	}
-	now := s.clock.Now()
-	if !e.Fresh(now) || e.Stale {
-		s.tel.lookup(false)
-		if s.ledger != nil {
 			s.ledger.Classify(url, now)
 		}
 		return nil, false
 	}
 	e.touch(now)
-	s.tel.lookup(true)
+	s.tel.hits.Inc()
 	return e, true
 }
 
@@ -370,29 +327,19 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 	if size > s.maxObjectSize || size > s.capacity {
 		s.blocklist[obj.URL] = struct{}{}
 		s.indexKnown(obj.Hash(), obj.URL)
-		s.stats.Blocked++
-		s.tel.put(obj.URL, "blocked")
-		if s.ledger != nil {
-			s.ledger.Record(decisionlog.Event{Time: now, Op: decisionlog.OpRejectBlocked,
-				URL: obj.URL, App: obj.App, Size: size, Version: obj.Version, Priority: obj.Priority})
-		}
+		s.record(decision{op: decisionlog.OpRejectBlocked, now: now, obj: obj, size: size})
 		return fmt.Errorf("%w: %s (%d bytes)", ErrBlocked, obj.URL, size)
 	}
 	if hw, ok := s.purged[obj.URL]; ok && obj.Version < hw {
 		// An in-flight fetch raced a purge: the bytes are already known
 		// stale, so caching them would resurrect exactly what the origin
 		// invalidated.
-		s.stats.StaleDrops++
-		s.tel.put(obj.URL, "stale-drop")
-		if s.ledger != nil {
-			s.ledger.Record(decisionlog.Event{Time: now, Op: decisionlog.OpRejectStale,
-				URL: obj.URL, App: obj.App, Size: size, Version: obj.Version, Priority: obj.Priority})
-		}
+		s.record(decision{op: decisionlog.OpRejectStale, now: now, obj: obj, size: size})
 		return fmt.Errorf("%w: %s (version %d < purge %d)", ErrStaleVersion, obj.URL, obj.Version, hw)
 	}
 	// A current-or-newer payload supersedes any negative-cache window (the
 	// object was re-created at the origin).
-	s.clearNegative(obj.URL)
+	delete(s.negative, obj.URL)
 
 	if old, ok := s.entries[obj.URL]; ok {
 		// Refresh: install a new entry rather than rewriting the old one,
@@ -413,15 +360,7 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 		s.used += size - old.Size()
 		s.entries[obj.URL] = fresh
 		s.pushExpiry(obj.URL, fresh.Expiry)
-		if old.Stale {
-			// Stale → fresh transition: the URL is a Cache-Hit again.
-			s.domainHitDelta(obj.URL, +1)
-		}
-		s.stats.Updates++
-		s.tel.put(obj.URL, "update")
-		if s.ledger != nil {
-			s.ledger.Record(s.ledgerEvent(decisionlog.OpUpdate, fresh, now))
-		}
+		s.record(decision{op: decisionlog.OpUpdate, now: now, e: fresh})
 		s.makeRoom(nil) // in case the refresh grew the entry
 		return nil
 	}
@@ -441,64 +380,98 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 	s.entries[obj.URL] = entry
 	s.indexKnown(obj.Hash(), obj.URL)
 	s.pushExpiry(obj.URL, entry.Expiry)
-	s.domainHitDelta(obj.URL, +1)
 	s.used += size
-	s.stats.Insertions++
-	s.tel.put(obj.URL, "insert")
-	if s.ledger != nil {
-		s.ledger.Record(s.ledgerEvent(decisionlog.OpAdmit, entry, now))
-	}
+	s.record(decision{op: decisionlog.OpAdmit, now: now, e: entry})
 	return nil
 }
 
-// indexKnown records a hash→URL sighting in both the global map and the
-// per-domain index. Callers hold the write lock.
-func (s *Store) indexKnown(hash uint64, url string) {
-	s.byHash[hash] = url
-	di := s.domainFor(dnswire.URLDomain(url), true)
-	di.known[hash] = url
+// decision is one store lifecycle decision, as record takes it.
+type decision struct {
+	op  decisionlog.Op
+	now time.Time
+	// e is the entry decided on; the ledger event carries its utility
+	// standing. Nil for rejected puts and for purges of an absent URL.
+	e *Entry
+	// obj and size describe the object a rejected put refused.
+	obj  *objstore.Object
+	size int64
+	// url and version name an absent URL's purge.
+	url     string
+	version int64
+	// gone marks a purge of an object the origin deleted; evicted, a
+	// purge that removed the resident copy.
+	gone, evicted bool
 }
 
-// pushExpiry records an entry's (new) expiry in the global heap and its
-// domain's heap. Callers hold the write lock.
-func (s *Store) pushExpiry(url string, expiry time.Time) {
-	s.expiries.push(url, expiry)
-	di := s.domainFor(dnswire.URLDomain(url), true)
-	di.repair.Lock()
-	di.expiries.push(url, expiry)
-	di.repair.Unlock()
-}
-
-// domainHitDelta adjusts the domain's Cache-Hit candidate counter when a
-// URL's entry becomes (or stops being) resident-and-non-stale.
-func (s *Store) domainHitDelta(url string, delta int) {
-	if di := s.domainFor(dnswire.URLDomain(url), true); di != nil {
-		di.hits += delta
+// record is the store's one bookkeeping path: every lifecycle decision
+// calls it exactly once, under the write lock. It bumps the StoreStats
+// count and the telemetry counter the decision falls under, writes the
+// /events line, and, only when a ledger is attached, appends the decision
+// to it. Gini-forced evictions count as capacity evictions everywhere but
+// in the ledger, so the metric families stay as they were.
+func (s *Store) record(d decision) {
+	url := d.url
+	switch {
+	case d.e != nil:
+		url = d.e.Object.URL
+	case d.obj != nil:
+		url = d.obj.URL
 	}
-}
-
-// setNegative opens a negative-cache window for url, mirroring it into the
-// domain index when the URL is known there. Callers hold the write lock.
-func (s *Store) setNegative(url string, until time.Time) {
-	s.negative[url] = until
-	domain := dnswire.URLDomain(url)
-	if di := s.domains[domain]; di != nil {
-		if _, known := di.known[dnswire.HashURL(url)]; known {
-			di.repair.Lock()
-			di.negative[url] = struct{}{}
-			di.repair.Unlock()
+	t := s.tel
+	switch d.op {
+	case decisionlog.OpAdmit:
+		s.stats.Insertions++
+		t.insertions.Inc()
+	case decisionlog.OpUpdate:
+		s.stats.Updates++
+		t.updates.Inc()
+	case decisionlog.OpRejectBlocked:
+		s.stats.Blocked++
+		t.blocked.Inc()
+		t.tel.Emit("blocked", "url", url)
+	case decisionlog.OpRejectStale:
+		s.stats.StaleDrops++
+		t.staleDrops.Inc()
+		t.tel.Emit("stale-drop", "url", url)
+	case decisionlog.OpExpire:
+		s.stats.Expired++
+		t.evictExpired.Inc()
+		t.tel.Emit("evict", "url", url, "cause", "expired")
+	case decisionlog.OpEvictCapacity, decisionlog.OpEvictGini:
+		s.stats.Evictions++
+		t.evictCapacity.Inc()
+		t.tel.Emit("evict", "url", url, "cause", "capacity")
+	case decisionlog.OpStaleServe:
+		s.stats.StaleServes++
+		t.staleServes.Inc()
+		t.tel.Emit("stale-serve", "url", url)
+	case decisionlog.OpPurge:
+		// Purged counts purges that touched a resident copy; the purged
+		// eviction cause only those that removed it.
+		if d.e != nil {
+			s.stats.Purged++
+			t.tel.Emit("purge", "url", url, "gone", d.gone)
+		}
+		if d.evicted {
+			t.evictPurged.Inc()
+			t.tel.Emit("evict", "url", url, "cause", "purged")
 		}
 	}
-}
-
-// clearNegative closes url's negative window in the store and the index.
-func (s *Store) clearNegative(url string) {
-	delete(s.negative, url)
-	if di := s.domains[dnswire.URLDomain(url)]; di != nil {
-		di.repair.Lock()
-		delete(di.negative, url)
-		di.repair.Unlock()
+	if s.ledger == nil {
+		return
 	}
+	var ev decisionlog.Event
+	switch {
+	case d.e != nil:
+		ev = s.ledgerEvent(d.op, d.e, d.now)
+		ev.Gone = d.gone
+	case d.obj != nil:
+		ev = decisionlog.Event{Time: d.now, Op: d.op, URL: url, App: d.obj.App,
+			Size: d.size, Version: d.obj.Version, Priority: d.obj.Priority}
+	default:
+		ev = decisionlog.Event{Time: d.now, Op: d.op, URL: url, Version: d.version, Gone: d.gone}
+	}
+	s.ledger.Record(ev)
 }
 
 // dropExpiredLocked removes every TTL-expired resident entry, driven by
@@ -518,12 +491,8 @@ func (s *Store) dropExpiredLocked(now time.Time) int {
 			break // earliest live expiry is in the future: nothing expired
 		}
 		popExpiry(&s.expiries)
-		if s.ledger != nil {
-			s.ledger.Record(s.ledgerEvent(decisionlog.OpExpire, e, now))
-		}
+		s.record(decision{op: decisionlog.OpExpire, now: now, e: e})
 		s.removeEntry(top.url)
-		s.stats.Expired++
-		s.tel.evicted(top.url, "expired")
 		dropped++
 	}
 	return dropped
@@ -549,13 +518,15 @@ func (s *Store) makeRoom(incoming *Entry) {
 	// compute does not advance virtual time, and the point of the metric
 	// is the real CPU cost of a PACM pass.
 	var selStart time.Time
-	if s.tel != nil {
+	if s.tel.selection != nil {
 		selStart = time.Now()
 	}
 	victims := s.policy.SelectVictims(now, entries, incoming, s.capacity, s.freq)
-	if s.tel != nil {
+	if s.tel.selection != nil {
 		s.tel.selection.ObserveDuration(time.Since(selStart))
 	}
+	// Only the ledger tells Gini-forced drops from capacity evictions, and
+	// PACM remembers its fairness victims only while a ledger is attached.
 	var pacm *PACM
 	if s.ledger != nil {
 		pacm, _ = s.policy.(*PACM)
@@ -564,19 +535,12 @@ func (s *Store) makeRoom(incoming *Entry) {
 		if _, ok := s.entries[v.Object.URL]; !ok {
 			continue
 		}
-		if s.ledger != nil {
-			// The ledger distinguishes Gini-forced drops from ordinary
-			// capacity evictions; the telemetry reason stays "capacity"
-			// for both so metric families are unchanged.
-			op := decisionlog.OpEvictCapacity
-			if pacm != nil && pacm.fairnessVictim(v) {
-				op = decisionlog.OpEvictGini
-			}
-			s.ledger.Record(s.ledgerEvent(op, v, now))
+		op := decisionlog.OpEvictCapacity
+		if pacm != nil && pacm.fairnessVictim(v) {
+			op = decisionlog.OpEvictGini
 		}
+		s.record(decision{op: op, now: now, e: v})
 		s.removeEntry(v.Object.URL)
-		s.stats.Evictions++
-		s.tel.evicted(v.Object.URL, "capacity")
 		need -= v.Size()
 	}
 	// The policy is trusted but verified: if it under-evicted, fall back
@@ -599,12 +563,8 @@ func (s *Store) makeRoom(incoming *Entry) {
 				break
 			}
 			need -= e.Size()
-			if s.ledger != nil {
-				s.ledger.Record(s.ledgerEvent(decisionlog.OpEvictCapacity, e, now))
-			}
+			s.record(decision{op: decisionlog.OpEvictCapacity, now: now, e: e})
 			s.removeEntry(e.Object.URL)
-			s.stats.Evictions++
-			s.tel.evicted(e.Object.URL, "capacity")
 		}
 	}
 }
@@ -620,9 +580,6 @@ func (s *Store) removeEntry(url string) {
 	}
 	s.used -= e.Size()
 	delete(s.entries, url)
-	if !e.Stale {
-		s.domainHitDelta(url, -1)
-	}
 }
 
 // entriesSlice snapshots the resident entries.
@@ -656,7 +613,7 @@ func (s *Store) SweepExpired() int {
 	dropped := s.dropExpiredLocked(now)
 	for url, until := range s.negative {
 		if !now.Before(until) {
-			s.clearNegative(url)
+			delete(s.negative, url)
 		}
 	}
 	return dropped

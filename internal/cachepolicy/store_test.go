@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -157,16 +158,28 @@ func TestStoreDomainBatchingAndDummyIPCondition(t *testing.T) {
 				t.Errorf("entry flag = %v, want Cache-Hit", e.Flag)
 			}
 		}
-		if !s.DomainFullyCached("api.movie.example") {
-			t.Error("domain should be fully cached")
+		if got := s.KnownHashesForDomain("unknown.example"); len(got) != 0 {
+			t.Errorf("unknown domain batched %d entries", len(got))
 		}
-		if s.DomainFullyCached("unknown.example") {
-			t.Error("unknown domain cannot be fully cached")
-		}
-		// Expire one object: the short-circuit condition must fail.
+		// The dummy-IP condition (DESIGN §5) is "no Cache-Miss flag":
+		// expired URLs turn Delegation, which still holds it; only a
+		// block-listed URL breaks it.
 		sim.Sleep(2 * time.Hour)
-		if s.DomainFullyCached("api.movie.example") {
-			t.Error("domain with expired entries reported fully cached")
+		huge := testObj("http://api.movie.example/trailer", "movie", DefaultMaxObjectSize+1, 2, time.Hour)
+		if err := s.Put(huge, make([]byte, huge.Size), time.Millisecond); !errors.Is(err, ErrBlocked) {
+			t.Errorf("oversized Put: %v, want ErrBlocked", err)
+		}
+		flags := make(map[uint64]dnswire.CacheFlag)
+		for _, e := range s.KnownHashesForDomain("api.movie.example") {
+			flags[e.Hash] = e.Flag
+		}
+		want := map[uint64]dnswire.CacheFlag{
+			o1.Hash():   dnswire.FlagDelegation,
+			o2.Hash():   dnswire.FlagDelegation,
+			huge.Hash(): dnswire.FlagCacheMiss,
+		}
+		if !reflect.DeepEqual(flags, want) {
+			t.Errorf("batched flags after expiry = %v, want %v", flags, want)
 		}
 	})
 }

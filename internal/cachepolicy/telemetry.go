@@ -6,9 +6,10 @@ import (
 	"apecache/internal/telemetry"
 )
 
-// storeTel holds a Store's registered instruments. A nil *storeTel (the
-// uninstrumented default) makes every hook a no-op branch, keeping the
-// read path unchanged for stores created outside a daemon.
+// storeTel holds a Store's registered instruments. The store's recorder
+// (record) and Get are their only writers. A store starts with the zero
+// storeTel, whose nil instruments and nil *Telemetry are no-ops, so stores
+// created outside a daemon pay one nil check per hook.
 type storeTel struct {
 	tel *telemetry.Telemetry
 
@@ -85,67 +86,6 @@ func (s *Store) Instrument(tel *telemetry.Telemetry, prefix string) {
 	s.mu.Lock()
 	s.tel = t
 	s.mu.Unlock()
-}
-
-func (t *storeTel) lookup(hit bool) {
-	if t == nil {
-		return
-	}
-	if hit {
-		t.hits.Inc()
-	} else {
-		t.misses.Inc()
-	}
-}
-
-// evicted counts one eviction and logs it. cause is "capacity",
-// "expired" or "purged".
-func (t *storeTel) evicted(url, cause string) {
-	if t == nil {
-		return
-	}
-	switch cause {
-	case "capacity":
-		t.evictCapacity.Inc()
-	case "expired":
-		t.evictExpired.Inc()
-	default:
-		t.evictPurged.Inc()
-	}
-	t.tel.Emit("evict", "url", url, "cause", cause)
-}
-
-func (t *storeTel) put(url, outcome string) {
-	if t == nil {
-		return
-	}
-	switch outcome {
-	case "insert":
-		t.insertions.Inc()
-	case "update":
-		t.updates.Inc()
-	case "blocked":
-		t.blocked.Inc()
-		t.tel.Emit("blocked", "url", url)
-	case "stale-drop":
-		t.staleDrops.Inc()
-		t.tel.Emit("stale-drop", "url", url)
-	}
-}
-
-func (t *storeTel) staleServe(url string) {
-	if t == nil {
-		return
-	}
-	t.staleServes.Inc()
-	t.tel.Emit("stale-serve", "url", url)
-}
-
-func (t *storeTel) purge(url string, gone bool) {
-	if t == nil {
-		return
-	}
-	t.tel.Emit("purge", "url", url, "gone", gone)
 }
 
 // AppStorage is one app's slice of the cache in a StorageReport: how

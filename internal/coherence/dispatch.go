@@ -71,9 +71,9 @@ func (c DispatchConfig) withDefaults() DispatchConfig {
 
 // DispatchStats is a point-in-time view of the dispatcher.
 type DispatchStats struct {
-	Subscribers int   `json:"subscribers"`
-	Shards      int   `json:"shards"`
-	Workers     int   `json:"workers"`
+	Subscribers int `json:"subscribers"`
+	Shards      int `json:"shards"`
+	Workers     int `json:"workers"`
 	// Queued is the purge messages pending across all subscriber queues.
 	Queued int `json:"queued"`
 	// Batches counts wire POSTs attempted, Delivered the purge messages
@@ -228,18 +228,6 @@ func (d *Dispatcher) Send(addrKey string, msg Msg) bool {
 	}
 	d.enqueue(s, msg)
 	return true
-}
-
-// Broadcast enqueues one purge for every subscriber regardless of shard
-// interest. Returns the number of queues reached.
-func (d *Dispatcher) Broadcast(msg Msg) int {
-	d.mu.Lock()
-	targets := append([]*dispatchSub(nil), d.order...)
-	d.mu.Unlock()
-	for _, s := range targets {
-		d.enqueue(s, msg)
-	}
-	return len(targets)
 }
 
 func (d *Dispatcher) enqueue(s *dispatchSub, msg Msg) {

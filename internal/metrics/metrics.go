@@ -12,107 +12,29 @@ import (
 )
 
 // LatencyStats accumulates duration samples and reports summary
-// statistics. The zero value is ready to use and keeps every sample
-// (exact mode, suited to bounded experiment runs). For long-lived
-// processes, NewStreamingLatencyStats bounds memory with a fixed-bucket
-// histogram and interpolated percentiles.
+// statistics. The zero value is ready to use and keeps every sample, so
+// percentiles are exact (suited to bounded experiment runs).
 type LatencyStats struct {
 	// samples stays in insertion order; Percentile works on a private
 	// sorted shadow so callers reading the series chronologically (or
 	// holding a slice from Samples) never observe a reordering.
 	samples []time.Duration
 	sorted  []time.Duration
-
-	// Streaming mode: a non-nil bounds slice switches the struct to a
-	// fixed-bucket histogram (buckets has len(bounds)+1 for overflow).
-	bounds   []time.Duration
-	buckets  []int
-	count    int
-	sum      time.Duration
-	min, max time.Duration
 }
-
-// DefaultLatencyBounds covers 50µs–200s with 2x spacing, fine enough to
-// separate AP hits (sub-ms) from edge (ms) and origin (tens of ms)
-// fetches.
-var DefaultLatencyBounds = expBounds(50*time.Microsecond, 23)
-
-func expBounds(start time.Duration, n int) []time.Duration {
-	b := make([]time.Duration, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= 2
-	}
-	return b
-}
-
-// NewStreamingLatencyStats returns stats in bounded streaming mode:
-// samples land in fixed buckets with the given ascending upper bounds
-// (DefaultLatencyBounds when none are given), percentiles are estimated
-// by linear interpolation, and memory stays constant no matter how long
-// the run is. Min, Max, Mean and Count stay exact.
-func NewStreamingLatencyStats(bounds ...time.Duration) *LatencyStats {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBounds
-	}
-	b := append([]time.Duration(nil), bounds...)
-	return &LatencyStats{bounds: b, buckets: make([]int, len(b)+1)}
-}
-
-// Streaming reports whether s is in bounded streaming mode.
-func (s *LatencyStats) Streaming() bool { return s.bounds != nil }
 
 // Add records one sample.
-func (s *LatencyStats) Add(d time.Duration) {
-	if s.bounds != nil {
-		s.addStreaming(d)
-		return
-	}
-	s.samples = append(s.samples, d)
-}
-
-func (s *LatencyStats) addStreaming(d time.Duration) {
-	i := 0
-	for i < len(s.bounds) && d > s.bounds[i] {
-		i++
-	}
-	s.buckets[i]++
-	s.count++
-	s.sum += d
-	if s.count == 1 || d < s.min {
-		s.min = d
-	}
-	if d > s.max {
-		s.max = d
-	}
-}
+func (s *LatencyStats) Add(d time.Duration) { s.samples = append(s.samples, d) }
 
 // Count returns the number of samples.
-func (s *LatencyStats) Count() int {
-	if s.bounds != nil {
-		return s.count
-	}
-	return len(s.samples)
-}
+func (s *LatencyStats) Count() int { return len(s.samples) }
 
 // Samples returns the recorded durations in insertion order (a copy).
-// Streaming mode keeps no individual samples and returns nil.
 func (s *LatencyStats) Samples() []time.Duration {
-	if s.bounds != nil {
-		return nil
-	}
 	return append([]time.Duration(nil), s.samples...)
 }
 
 // Mean returns the arithmetic mean, or zero with no samples.
 func (s *LatencyStats) Mean() time.Duration {
-	if s.bounds != nil {
-		if s.count == 0 {
-			return 0
-		}
-		return s.sum / time.Duration(s.count)
-	}
 	if len(s.samples) == 0 {
 		return 0
 	}
@@ -123,13 +45,9 @@ func (s *LatencyStats) Mean() time.Duration {
 	return sum / time.Duration(len(s.samples))
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100): nearest-rank
-// over the exact samples, or a linear interpolation inside the target
-// bucket in streaming mode (clamped to the observed min/max).
+// Percentile returns the p-th percentile (0 < p <= 100), nearest-rank
+// over the exact samples.
 func (s *LatencyStats) Percentile(p float64) time.Duration {
-	if s.bounds != nil {
-		return s.percentileStreaming(p)
-	}
 	if len(s.samples) == 0 {
 		return 0
 	}
@@ -142,46 +60,6 @@ func (s *LatencyStats) Percentile(p float64) time.Duration {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-func (s *LatencyStats) percentileStreaming(p float64) time.Duration {
-	if s.count == 0 {
-		return 0
-	}
-	rank := p / 100 * float64(s.count)
-	cum := 0
-	est := s.max
-	for i, n := range s.buckets {
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= rank {
-			var lo time.Duration
-			if i > 0 {
-				lo = s.bounds[i-1]
-			}
-			hi := s.max // overflow bucket interpolates toward the true max
-			if i < len(s.bounds) {
-				hi = s.bounds[i]
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			est = lo + time.Duration(float64(hi-lo)*frac)
-			break
-		}
-		cum += n
-	}
-	if est < s.min {
-		est = s.min
-	}
-	if est > s.max {
-		est = s.max
-	}
-	return est
 }
 
 // sortedShadow returns the lazily rebuilt sorted copy of the samples.
@@ -198,117 +76,20 @@ func (s *LatencyStats) sortedShadow() []time.Duration {
 // P95 is the 95th-percentile tail latency reported throughout the paper.
 func (s *LatencyStats) P95() time.Duration { return s.Percentile(95) }
 
-// Min returns the smallest sample (exact in both modes).
+// Min returns the smallest sample.
 func (s *LatencyStats) Min() time.Duration {
-	if s.bounds != nil {
-		return s.min
-	}
 	if len(s.samples) == 0 {
 		return 0
 	}
 	return s.Percentile(0.0001)
 }
 
-// Max returns the largest sample (exact in both modes).
-func (s *LatencyStats) Max() time.Duration {
-	if s.bounds != nil {
-		return s.max
-	}
-	return s.Percentile(100)
-}
+// Max returns the largest sample.
+func (s *LatencyStats) Max() time.Duration { return s.Percentile(100) }
 
-// Merge folds other's samples into s. Merging an exact-mode source into
-// a streaming target re-buckets its samples; merging a streaming source
-// with identical bounds adds bucket counts; a streaming source with
-// different bounds (or into an exact target) is folded through bucket
-// representatives, which approximates its distribution but keeps
-// count/sum/min/max exact.
+// Merge folds other's samples into s.
 func (s *LatencyStats) Merge(other *LatencyStats) {
-	switch {
-	case other.bounds == nil && s.bounds == nil:
-		s.samples = append(s.samples, other.samples...)
-	case other.bounds == nil:
-		for _, d := range other.samples {
-			s.addStreaming(d)
-		}
-	default:
-		if s.bounds != nil && boundsEqual(s.bounds, other.bounds) {
-			if other.count == 0 {
-				return
-			}
-			for i, n := range other.buckets {
-				s.buckets[i] += n
-			}
-			if s.count == 0 || other.min < s.min {
-				s.min = other.min
-			}
-			if other.max > s.max {
-				s.max = other.max
-			}
-			s.count += other.count
-			s.sum += other.sum
-			return
-		}
-		if s.bounds == nil {
-			// Adopt streaming mode rather than materializing the
-			// source's (unavailable) samples.
-			promoted := NewStreamingLatencyStats(other.bounds...)
-			for _, d := range s.samples {
-				promoted.addStreaming(d)
-			}
-			*s = *promoted
-		}
-		s.mergeRepresentatives(other)
-	}
-}
-
-// mergeRepresentatives folds a streaming source with different bounds
-// by re-observing each bucket's representative value, then restores the
-// exact aggregate fields.
-func (s *LatencyStats) mergeRepresentatives(other *LatencyStats) {
-	if other.count == 0 {
-		return
-	}
-	sumBefore := s.sum
-	for i, n := range other.buckets {
-		if n == 0 {
-			continue
-		}
-		var lo time.Duration
-		if i > 0 {
-			lo = other.bounds[i-1]
-		}
-		hi := other.max
-		if i < len(other.bounds) && other.bounds[i] < hi {
-			hi = other.bounds[i]
-		}
-		rep := lo + (hi-lo)/2
-		j := 0
-		for j < len(s.bounds) && rep > s.bounds[j] {
-			j++
-		}
-		s.buckets[j] += n
-	}
-	if s.count == 0 || other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.count += other.count
-	s.sum = sumBefore + other.sum
-}
-
-func boundsEqual(a, b []time.Duration) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	s.samples = append(s.samples, other.samples...)
 }
 
 // String renders "mean/p95 (n)" for logs.

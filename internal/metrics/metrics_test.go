@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -120,6 +121,38 @@ func TestTimeSeries(t *testing.T) {
 	}
 	if len(ts.Points()) != 2 {
 		t.Errorf("Points = %d, want 2", len(ts.Points()))
+	}
+}
+
+func TestTimeSeriesBoundedKeepsExactMeanMax(t *testing.T) {
+	var bounded, free TimeSeries
+	bounded.SetMaxPoints(64)
+	base := time.Unix(0, 0)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 10000; i++ {
+		v := rng.Float64() * 100
+		ts := base.Add(time.Duration(i) * time.Second)
+		bounded.Sample(ts, v)
+		free.Sample(ts, v)
+	}
+	if len(bounded.Points()) >= 64 {
+		t.Errorf("bounded series holds %d points", len(bounded.Points()))
+	}
+	if bounded.Mean() != free.Mean() {
+		t.Errorf("Mean %v != %v (must be exact)", bounded.Mean(), free.Mean())
+	}
+	if bounded.Max() != free.Max() {
+		t.Errorf("Max %v != %v (must be exact)", bounded.Max(), free.Max())
+	}
+	if bounded.Count() != 10000 {
+		t.Errorf("Count = %d", bounded.Count())
+	}
+	// Decimated points preserve chronological order.
+	pts := bounded.Points()
+	for i := 1; i < len(pts); i++ {
+		if !pts[i-1].T.Before(pts[i].T) {
+			t.Fatalf("points out of order at %d", i)
+		}
 	}
 }
 

@@ -238,10 +238,10 @@ func (r *Report) benchLookups(iters int) {
 	})
 }
 
-// benchDomainScaling measures KnownHashesForDomain and DomainFullyCached
-// on a fixed 16-entry domain while the store's total known-hash population
-// grows 64×. The indexed store must stay flat; the scan baseline is
-// recorded alongside to show what the index replaces.
+// benchDomainScaling measures KnownHashesForDomain on a fixed 16-entry
+// domain while the store's total known-hash population grows 64×. The
+// indexed store must stay flat; the scan baseline is recorded alongside
+// to show what the index replaces.
 func (r *Report) benchDomainScaling(iters int) {
 	const domainEntries = 16
 	small, _ := populatedStore(domainEntries, 1, 256-domainEntries)
@@ -254,16 +254,12 @@ func (r *Report) benchDomainScaling(iters int) {
 	largeNs := timeOp(iters, func(int) { large.KnownHashesForDomain(domain) })
 	baseSmallNs := timeOp(iters, func(int) { baseSmall.KnownHashesForDomain(domain) })
 	baseLargeNs := timeOp(iters/20, func(int) { baseLarge.KnownHashesForDomain(domain) })
-	fullySmall := timeOp(iters, func(int) { small.DomainFullyCached(domain) })
-	fullyLarge := timeOp(iters, func(int) { large.DomainFullyCached(domain) })
 
 	r.Micros = append(r.Micros,
 		Micro{Name: "store/known-hashes/indexed/256-total", NsPerOp: smallNs, Note: "16-entry domain"},
 		Micro{Name: "store/known-hashes/indexed/16384-total", NsPerOp: largeNs, Note: "16-entry domain"},
 		Micro{Name: "store/known-hashes/scan-baseline/256-total", NsPerOp: baseSmallNs, Note: "16-entry domain"},
 		Micro{Name: "store/known-hashes/scan-baseline/16384-total", NsPerOp: baseLargeNs, Note: "16-entry domain"},
-		Micro{Name: "store/domain-fully-cached/256-total", NsPerOp: fullySmall},
-		Micro{Name: "store/domain-fully-cached/16384-total", NsPerOp: fullyLarge},
 	)
 	r.Invariants = append(r.Invariants,
 		Invariant{
