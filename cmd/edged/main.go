@@ -38,9 +38,9 @@ func main() {
 		objects    = flag.Int("objects", 8, "objects per domain")
 		seed       = flag.Int64("seed", 1, "catalog generation seed")
 		fleetPort  = flag.Uint("fleet-port", 0, "TCP port of the fleet observability controller (0: disabled)")
-		busShards  = flag.Int("bus-shards", 0, "enable the sharded, batched purge fan-out with this many domain shards (0: legacy per-delivery relay)")
-		busFlush   = flag.Duration("bus-flush", 0, "purge coalescing flush interval (with -bus-shards; 0: default)")
-		busBatch   = flag.Int("bus-batch", 0, "max purge messages per wire batch (with -bus-shards; 0: default)")
+		busShards  = flag.Int("bus-shards", 0, "domain shards of the batched purge fan-out (0: default 8)")
+		busFlush   = flag.Duration("bus-flush", 0, "purge coalescing flush interval (0: default 5ms)")
+		busBatch   = flag.Int("bus-batch", 0, "max purge messages per wire batch (0: default 256)")
 	)
 	flag.Parse()
 	if err := run(*ip, uint16(*edgePort), uint16(*originPort), uint16(*fleetPort), strings.Split(*domains, ","), *objects, *seed,
@@ -90,9 +90,7 @@ func run(ip string, edgePort, originPort, fleetPort uint16, domains []string, pe
 	edge.Instrument(tel)
 	hub := coherence.NewHub(env, host, func(m coherence.Msg) { edge.Invalidate(m.URL) })
 	hub.Instrument(tel)
-	if dispatch.Shards > 0 {
-		hub.EnableDispatch(dispatch)
-	}
+	cfg := hub.SetDispatch(dispatch).Config()
 	edgeL, err := host.Listen(edgePort)
 	if err != nil {
 		return err
@@ -108,11 +106,8 @@ func run(ip string, edgePort, originPort, fleetPort uint16, domains []string, pe
 		originL.Addr(), edgeL.Addr(), catalog.Len(), len(catalog.Domains()))
 	fmt.Printf("edged: coherence bus on %s%s (publish) and %s (subscribe)\n",
 		edgeL.Addr(), coherence.PathPublish, coherence.PathSubscribe)
-	if d := hub.Dispatcher(); d != nil {
-		cfg := d.Config()
-		fmt.Printf("edged: sharded purge fan-out: %d shards, %d workers, flush %v, batches up to %d (stats at %s)\n",
-			cfg.Shards, cfg.Workers, cfg.FlushInterval, cfg.MaxBatch, coherence.PathStats)
-	}
+	fmt.Printf("edged: sharded purge fan-out: %d shards, %d workers, flush %v, batches up to %d (stats at %s)\n",
+		cfg.Shards, cfg.Workers, cfg.FlushInterval, cfg.MaxBatch, coherence.PathStats)
 	fmt.Printf("edged: telemetry on %s/metrics, /debug/vars, /debug/pprof, /trace, /events\n", edgeL.Addr())
 	if fleetPort != 0 {
 		ctl := wicache.NewController(env, host)

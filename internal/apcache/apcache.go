@@ -177,24 +177,13 @@ type AP struct {
 	// separate goroutines under the real clock.
 	mu      sync.Mutex
 	stopped bool
-	// Delegations counts fetch-through operations; Prefetches counts
-	// background warm-ups triggered by X-Ape-Prefetch hints. Read them
-	// only from quiescent code (tests, Snapshot).
-	Delegations int
-	Prefetches  int
-	// Purges counts bus messages applied; Revalidations counts background
-	// conditional re-fetches completed. Read from quiescent code only.
-	Purges        int
-	Revalidations int
-	// PeerHits counts misses served from a mesh peer; PeerFallbacks the
-	// lookups whose candidates all failed (Bloom false positive or
-	// eviction race) before falling back to the edge. PeerBytes and
-	// DelegationBytes total the payload bytes over each path — their
-	// ratio is the mesh's backhaul saving. Read from quiescent code only.
-	PeerHits        int
-	PeerFallbacks   int
-	PeerBytes       int64
+	// Delegations counts fetch-through operations and DelegationBytes
+	// their payload bytes; Purges counts bus messages applied. The other
+	// runtime counts live only in the telemetry instruments, which
+	// Snapshot reads. Read these from quiescent code only.
+	Delegations     int
 	DelegationBytes int64
+	Purges          int
 	// revalidating and delegating are the singleflight guards: one
 	// background revalidation per URL, one edge fetch per URL across
 	// concurrent delegations.

@@ -116,9 +116,6 @@ func (ap *AP) revalidate(url string) {
 	req.Set("If-None-Match", coherence.FormatETag(held))
 	start := ap.cfg.Env.Now()
 	resp, err := ap.edge.Do(ap.cfg.EdgeAddr, req)
-	ap.mu.Lock()
-	ap.Revalidations++
-	ap.mu.Unlock()
 	ap.tel.revalidations.Inc()
 	if err != nil {
 		// Network failure degrades to TTL-only: the stale mark stays, the

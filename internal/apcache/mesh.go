@@ -206,10 +206,6 @@ func (ap *AP) tryPeerFetch(basic, app string, priority int, trace telemetry.Trac
 				Size: int64(len(resp.Body)), Version: version,
 				Expiry: ap.cfg.Env.Now().Add(obj.TTL)})
 		}
-		ap.mu.Lock()
-		ap.PeerHits++
-		ap.PeerBytes += int64(len(resp.Body))
-		ap.mu.Unlock()
 		ap.mtel.peerHits.Inc()
 		ap.mtel.peerBytes.Add(int64(len(resp.Body)))
 		ap.mtel.peerSecs.ObserveDuration(rtt)
@@ -220,9 +216,6 @@ func (ap *AP) tryPeerFetch(basic, app string, priority int, trace telemetry.Trac
 		return out, true
 	}
 	if tried > 0 {
-		ap.mu.Lock()
-		ap.PeerFallbacks++
-		ap.mu.Unlock()
 		ap.mtel.fallbacks.Inc()
 		if ap.ledger != nil {
 			// Every tried peer failed; the delegation falls back to the

@@ -57,10 +57,7 @@ type Status struct {
 func (ap *AP) Snapshot() Status {
 	stats := ap.store.Stats()
 	ap.mu.Lock()
-	delegations, prefetches := ap.Delegations, ap.Prefetches
-	purges, revalidations := ap.Purges, ap.Revalidations
-	peerHits, peerFallbacks := ap.PeerHits, ap.PeerFallbacks
-	peerBytes, delegationBytes := ap.PeerBytes, ap.DelegationBytes
+	delegations, delegationBytes, purges := ap.Delegations, ap.DelegationBytes, ap.Purges
 	ap.mu.Unlock()
 	mesh := "off"
 	if !ap.cfg.MeshAddr.IsZero() {
@@ -73,34 +70,34 @@ func (ap *AP) Snapshot() Status {
 		missCauses = ap.ledger.Counts()
 	}
 	return Status{
-		DecisionLog: ap.ledger != nil,
-		MissCauses:  missCauses,
-		Coherence:      ap.cfg.Coherence.String(),
-		Purges:         purges,
-		Revalidations:  revalidations,
-		StaleServes:    stats.StaleServes,
-		StaleDrops:     stats.StaleDrops,
+		DecisionLog:     ap.ledger != nil,
+		MissCauses:      missCauses,
+		Coherence:       ap.cfg.Coherence.String(),
+		Purges:          purges,
+		Revalidations:   int(ap.tel.revalidations.Value()),
+		StaleServes:     stats.StaleServes,
+		StaleDrops:      stats.StaleDrops,
 		Mesh:            mesh,
-		PeerHits:        peerHits,
-		PeerFallbacks:   peerFallbacks,
-		PeerBytes:       peerBytes,
+		PeerHits:        int(ap.mtel.peerHits.Value()),
+		PeerFallbacks:   int(ap.mtel.fallbacks.Value()),
+		PeerBytes:       ap.mtel.peerBytes.Value(),
 		DelegationBytes: delegationBytes,
-		CacheUsedBytes: ap.store.Used(),
-		CacheCapacity:  ap.store.Capacity(),
-		Entries:        ap.store.Len(),
-		Insertions:     stats.Insertions,
-		Updates:        stats.Updates,
-		Evictions:      stats.Evictions,
-		Expired:        stats.Expired,
-		Blocked:        stats.Blocked,
-		Delegations:    delegations,
-		Prefetches:     prefetches,
-		DNSHits:        dnsHits,
-		DNSMisses:      dnsMisses,
-		Policy:         ap.cfg.Policy.Name(),
-		UptimeSec:      int64(ap.cfg.Env.Now().Sub(ap.started) / time.Second),
-		Gini:           gini,
-		PerApp:         perApp,
+		CacheUsedBytes:  ap.store.Used(),
+		CacheCapacity:   ap.store.Capacity(),
+		Entries:         ap.store.Len(),
+		Insertions:      stats.Insertions,
+		Updates:         stats.Updates,
+		Evictions:       stats.Evictions,
+		Expired:         stats.Expired,
+		Blocked:         stats.Blocked,
+		Delegations:     delegations,
+		Prefetches:      int(ap.tel.prefetches.Value()),
+		DNSHits:         dnsHits,
+		DNSMisses:       dnsMisses,
+		Policy:          ap.cfg.Policy.Name(),
+		UptimeSec:       int64(ap.cfg.Env.Now().Sub(ap.started) / time.Second),
+		Gini:            gini,
+		PerApp:          perApp,
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -98,8 +97,7 @@ func opName(ev decisionlog.Event) string {
 // StoreStats counts, the telemetry counters, the /events lines and the
 // ledger ops each decision leaves behind agree. Without a ledger the
 // counts and lines are the same and nothing is ledgered. Ops and event
-// names are compared as sorted lists: a policy hands back the victims of
-// one admission in no fixed order.
+// names are compared in the order they were recorded.
 func TestRecorderKeepsBooksInStep(t *testing.T) {
 	const x = "http://t.example/x"
 	put := func(s *Store, url, app string, size int, version int64, ttl time.Duration) error {
@@ -134,6 +132,9 @@ func TestRecorderKeepsBooksInStep(t *testing.T) {
 		counters map[string]float64
 		events   []string
 		ops      []string
+		// repeat runs the case on that many fresh stores, for orders that
+		// a map walk could shuffle from one run to the next.
+		repeat int
 	}{
 		{
 			name:  "admit",
@@ -192,7 +193,7 @@ func TestRecorderKeepsBooksInStep(t *testing.T) {
 			},
 			act:   func(t *testing.T, _ *vclock.Sim, s *Store) { mustPut(t, s, x, "a", 1024, 1) },
 			stats: StoreStats{Insertions: 1, Evictions: 1}, counters: map[string]float64{insert: 1, capacity: 1},
-			events: []string{"evict/capacity"}, ops: []string{"admit", "evict-capacity"},
+			events: []string{"evict/capacity"}, ops: []string{"evict-capacity", "admit"},
 		},
 		{
 			name:     "fallback eviction",
@@ -204,7 +205,7 @@ func TestRecorderKeepsBooksInStep(t *testing.T) {
 			},
 			act:   func(t *testing.T, _ *vclock.Sim, s *Store) { mustPut(t, s, x, "a", 1024, 1) },
 			stats: StoreStats{Insertions: 1, Evictions: 1}, counters: map[string]float64{insert: 1, capacity: 1},
-			events: []string{"evict/capacity"}, ops: []string{"admit", "evict-capacity"},
+			events: []string{"evict/capacity"}, ops: []string{"evict-capacity", "admit"},
 		},
 		{
 			// The fairness repair drops the idle hog's entries: the ledger
@@ -228,15 +229,17 @@ func TestRecorderKeepsBooksInStep(t *testing.T) {
 			counters: map[string]float64{insert: 4, capacity: 6},
 			events: []string{"evict/capacity", "evict/capacity", "evict/capacity",
 				"evict/capacity", "evict/capacity", "evict/capacity"},
-			ops: []string{"admit", "admit", "admit", "admit", "evict-capacity",
-				"evict-gini", "evict-gini", "evict-gini", "evict-gini", "evict-gini"},
+			// The third admission evicts all six hogs, oldest first.
+			ops: []string{"admit", "admit", "evict-gini", "evict-gini", "evict-gini",
+				"evict-gini", "evict-gini", "evict-capacity", "admit", "admit"},
+			repeat: 8,
 		},
 		{
 			name:  "purge evicts",
 			setup: func(t *testing.T, _ *vclock.Sim, s *Store) { mustPut(t, s, x, "a", 1024, 1) },
 			act:   func(_ *testing.T, _ *vclock.Sim, s *Store) { s.Purge(x, 2, false, false) },
 			stats: StoreStats{Purged: 1}, counters: map[string]float64{purged: 1},
-			events: []string{"evict/purged", "purge"}, ops: []string{"purge"},
+			events: []string{"purge", "evict/purged"}, ops: []string{"purge"},
 		},
 		{
 			// Purged counts the touched copy; cause="purged" does not,
@@ -262,7 +265,7 @@ func TestRecorderKeepsBooksInStep(t *testing.T) {
 			setup: func(t *testing.T, _ *vclock.Sim, s *Store) { mustPut(t, s, x, "a", 1024, 1) },
 			act:   func(_ *testing.T, _ *vclock.Sim, s *Store) { s.Purge(x, 2, true, true) },
 			stats: StoreStats{Purged: 1}, counters: map[string]float64{purged: 1},
-			events: []string{"evict/purged", "purge"}, ops: []string{"purge+gone"},
+			events: []string{"purge", "evict/purged"}, ops: []string{"purge+gone"},
 		},
 		{
 			// The copy already is the announced version: no decision.
@@ -311,7 +314,7 @@ func TestRecorderKeepsBooksInStep(t *testing.T) {
 			setup: func(t *testing.T, _ *vclock.Sim, s *Store) { mustPut(t, s, x, "a", 1024, 1) },
 			act:   func(_ *testing.T, _ *vclock.Sim, s *Store) { s.MarkGone(x) },
 			stats: StoreStats{Purged: 1}, counters: map[string]float64{purged: 1},
-			events: []string{"evict/purged", "purge"}, ops: []string{"purge+gone"},
+			events: []string{"purge", "evict/purged"}, ops: []string{"purge+gone"},
 		},
 		{
 			name: "mark gone of absent URL",
@@ -327,59 +330,59 @@ func TestRecorderKeepsBooksInStep(t *testing.T) {
 				name = tc.name + "/ledger"
 			}
 			t.Run(name, func(t *testing.T) {
-				capacity, policy := tc.capacity, Policy(NewPACM())
-				if capacity == 0 {
-					capacity = 64 << 10
-				}
-				if tc.policy != nil {
-					policy = tc.policy()
-				}
-				runStore(t, capacity, policy, func(sim *vclock.Sim, s *Store) {
-					tel := telemetry.New(sim)
-					s.Instrument(tel, "rec")
-					var led *decisionlog.Ledger
-					if withLedger {
-						led = decisionlog.New(1024)
-						s.AttachLedger(led)
+				for range max(tc.repeat, 1) {
+					capacity, policy := tc.capacity, Policy(NewPACM())
+					if capacity == 0 {
+						capacity = 64 << 10
 					}
-					if tc.setup != nil {
-						tc.setup(t, sim, s)
+					if tc.policy != nil {
+						policy = tc.policy()
 					}
-					before := readBooks(s, tel, led)
-					tc.act(t, sim, s)
-					after := readBooks(s, tel, led)
+					runStore(t, capacity, policy, func(sim *vclock.Sim, s *Store) {
+						tel := telemetry.New(sim)
+						s.Instrument(tel, "rec")
+						var led *decisionlog.Ledger
+						if withLedger {
+							led = decisionlog.New(1024)
+							s.AttachLedger(led)
+						}
+						if tc.setup != nil {
+							tc.setup(t, sim, s)
+						}
+						before := readBooks(s, tel, led)
+						tc.act(t, sim, s)
+						after := readBooks(s, tel, led)
 
-					if got := statsDelta(before.stats, after.stats); got != tc.stats {
-						t.Errorf("StoreStats moved by %+v, want %+v", got, tc.stats)
-					}
-					for _, name := range recordedCounters {
-						if got, want := after.counters[name]-before.counters[name], tc.counters[name]; got != want {
-							t.Errorf("%s moved by %v, want %v", name, got, want)
+						if got := statsDelta(before.stats, after.stats); got != tc.stats {
+							t.Errorf("StoreStats moved by %+v, want %+v", got, tc.stats)
 						}
-					}
-					var events []string
-					for _, line := range tel.Events.Recent(int(after.events - before.events)) {
-						events = append(events, eventName(line))
-					}
-					sort.Strings(events)
-					if !reflect.DeepEqual(events, tc.events) {
-						t.Errorf("events %q, want %q", events, tc.events)
-					}
-					var ops []string
-					if led != nil {
-						for _, ev := range led.DomainRecent("t.example", 0)[before.ledger:] {
-							ops = append(ops, opName(ev))
+						for _, name := range recordedCounters {
+							if got, want := after.counters[name]-before.counters[name], tc.counters[name]; got != want {
+								t.Errorf("%s moved by %v, want %v", name, got, want)
+							}
 						}
-					}
-					want := tc.ops
-					if !withLedger {
-						want = nil
-					}
-					sort.Strings(ops)
-					if !reflect.DeepEqual(ops, want) {
-						t.Errorf("ledger ops %q, want %q", ops, want)
-					}
-				})
+						var events []string
+						for _, line := range tel.Events.Recent(int(after.events - before.events)) {
+							events = append(events, eventName(line))
+						}
+						if !reflect.DeepEqual(events, tc.events) {
+							t.Errorf("events %q, want %q", events, tc.events)
+						}
+						var ops []string
+						if led != nil {
+							for _, ev := range led.DomainRecent("t.example", 0)[before.ledger:] {
+								ops = append(ops, opName(ev))
+							}
+						}
+						want := tc.ops
+						if !withLedger {
+							want = nil
+						}
+						if !reflect.DeepEqual(ops, want) {
+							t.Errorf("ledger ops %q, want %q", ops, want)
+						}
+					})
+				}
 			})
 		}
 	}

@@ -1,8 +1,10 @@
 package cachepolicy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -525,6 +527,10 @@ func (s *Store) makeRoom(incoming *Entry) {
 	if s.tel.selection != nil {
 		s.tel.selection.ObserveDuration(time.Since(selStart))
 	}
+	// Policies return victims in the order of entries, which follows map
+	// iteration; record them oldest insertion first so the ledger and
+	// /events read the same on every run.
+	slices.SortFunc(victims, func(a, b *Entry) int { return cmp.Compare(a.seq, b.seq) })
 	// Only the ledger tells Gini-forced drops from capacity evictions, and
 	// PACM remembers its fairness victims only while a ledger is attached.
 	var pacm *PACM

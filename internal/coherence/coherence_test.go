@@ -143,7 +143,7 @@ func TestHubFanOut(t *testing.T) {
 			t.Errorf("publish: %v", err)
 			return
 		}
-		sim.Sleep(time.Second) // let background relays complete
+		sim.Sleep(time.Second) // let the dispatcher flush
 
 		if len(local) != 1 || local[0].URL != "http://api.x.example/obj" {
 			t.Errorf("local purge = %+v", local)
@@ -154,12 +154,13 @@ func TestHubFanOut(t *testing.T) {
 				t.Errorf("%s received %+v, want one v2 purge", name, msgs)
 			}
 		}
-		if hub.Published.Load() != 1 || hub.Relayed.Load() != 2 {
-			t.Errorf("hub counters published=%d relayed=%d, want 1/2", hub.Published.Load(), hub.Relayed.Load())
-		}
 		st := hub.Stats()
-		if st.Published != 1 || st.Relayed != 2 || st.Subscribers != 2 || st.Dispatch != nil {
-			t.Errorf("hub stats = %+v, want published=1 relayed=2 subscribers=2 no dispatch", st)
+		if st.Published != 1 || st.Relayed != 2 || st.Subscribers != 2 {
+			t.Errorf("hub stats = %+v, want published=1 relayed=2 subscribers=2", st)
+		}
+		// Neither endpoint declared Batch: one single-Msg POST each.
+		if d := st.Dispatch; d.Batches != 2 || d.Delivered != 2 || d.Queued != 0 {
+			t.Errorf("dispatch stats = %+v, want 2 single-message deliveries, nothing queued", d)
 		}
 
 		// The wrapped edge handler still serves ordinary paths.
@@ -197,21 +198,19 @@ func TestHubResubscribeReplacesEndpoint(t *testing.T) {
 
 	apAddr := transport.Addr{Host: "ap1", Port: 8080}
 	subscribe(apAddr, "")
-	subscribe(apAddr, "")                    // same endpoint, same (default) path
-	subscribe(apAddr, "/purge-v2")           // restarted daemon, new path
+	subscribe(apAddr, "")          // same endpoint, same (default) path
+	subscribe(apAddr, "/purge-v2") // restarted daemon, new path
 	subscribe(transport.Addr{Host: "ap2", Port: 8080}, "")
 
 	if got := len(hub.Subscribers()); got != 2 {
 		t.Fatalf("subscribers = %d, want 2 (one per endpoint)", got)
 	}
-	hub.mu.Lock()
 	var ap1Paths []string
-	for _, s := range hub.subs {
+	for _, s := range hub.Dispatcher().Subscribers() {
 		if s.Addr == apAddr {
 			ap1Paths = append(ap1Paths, s.Path)
 		}
 	}
-	hub.mu.Unlock()
 	if len(ap1Paths) != 1 || ap1Paths[0] != "/purge-v2" {
 		t.Fatalf("ap1 registrations = %v, want exactly [/purge-v2]", ap1Paths)
 	}

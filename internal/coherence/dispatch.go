@@ -23,7 +23,7 @@ type DispatchConfig struct {
 	// purges degrade to TTL expiry, like every other best-effort loss on
 	// the bus (default 1024).
 	QueueLen int
-	// FlushInterval is the coalescing tick: each worker drains its
+	// FlushInterval is the coalescing tick: a busy worker drains its
 	// subscribers' queues once per interval (default 5ms).
 	FlushInterval time.Duration
 	// MaxBatch caps the messages carried by one wire batch; longer queues
@@ -97,14 +97,16 @@ type dispatchSub struct {
 	failures int
 }
 
-// Dispatcher replaces goroutine-per-delivery fan-out with per-subscriber
-// bounded queues drained by a fixed worker pool. Publications enqueue in
-// O(subscribers-in-shard); each worker wakes once per FlushInterval and
-// flushes its subscribers' queues, coalescing queued purges into MsgBatch
-// wire messages for batch-capable endpoints (one single-Msg POST per
-// purge for legacy ones). Subscribers register domain interest; the
-// consistent-hash shard map confines each purge to the subscribers whose
-// domains share its shard.
+// Dispatcher fans purges out through per-subscriber bounded queues
+// drained by a fixed pool of workers. Publications enqueue in
+// O(subscribers-in-shard); each worker flushes its subscribers' queues
+// once per FlushInterval, coalescing queued purges into MsgBatch wire
+// messages for batch-capable endpoints (one single-Msg POST per purge for
+// the others). A worker's task starts on the first purge queued to it
+// and exits once its queues are empty, so an idle dispatcher schedules
+// no timers. Subscribers register domain interest; the consistent-hash
+// shard map confines each purge to the subscribers whose domains share
+// its shard.
 type Dispatcher struct {
 	env    vclock.Env
 	client *httplite.Client
@@ -114,6 +116,7 @@ type Dispatcher struct {
 	mu      sync.Mutex
 	subs    map[string]*dispatchSub // keyed by Addr.String()
 	order   []*dispatchSub          // registration order: deterministic flush order
+	running []bool                  // per worker: its drain task is alive
 	nextW   int
 	stopped bool
 
@@ -123,27 +126,25 @@ type Dispatcher struct {
 	evicted   atomic.Int64
 }
 
-// NewDispatcher builds a dispatcher and starts its worker pool. Call
-// from a sim task under the virtual clock (workers run on env.Go).
+// NewDispatcher builds an idle dispatcher. Worker tasks start on env.Go
+// as purges arrive, so publish from a sim task under the virtual clock.
 func NewDispatcher(env vclock.Env, client *httplite.Client, cfg DispatchConfig) *Dispatcher {
-	d := &Dispatcher{
-		env:    env,
-		client: client,
-		cfg:    cfg.withDefaults(),
-		subs:   make(map[string]*dispatchSub),
+	cfg = cfg.withDefaults()
+	return &Dispatcher{
+		env:     env,
+		client:  client,
+		cfg:     cfg,
+		shards:  NewShardMap(cfg.Shards),
+		subs:    make(map[string]*dispatchSub),
+		running: make([]bool, cfg.Workers),
 	}
-	d.shards = NewShardMap(d.cfg.Shards)
-	for w := 0; w < d.cfg.Workers; w++ {
-		w := w
-		env.Go("coherence.dispatch", func() { d.runWorker(w) })
-	}
-	return d
 }
 
 // Config returns the dispatcher's effective (default-filled) config.
 func (d *Dispatcher) Config() DispatchConfig { return d.cfg }
 
-// Stop halts the worker pool after the current tick.
+// Stop halts the worker pool after the current tick; later purges queue
+// but are never flushed.
 func (d *Dispatcher) Stop() {
 	d.mu.Lock()
 	d.stopped = true
@@ -239,6 +240,23 @@ func (d *Dispatcher) enqueue(s *dispatchSub, msg Msg) {
 	}
 	s.pending = append(s.pending, msg)
 	s.mu.Unlock()
+	d.wake(s.worker)
+}
+
+// wake starts worker w's drain task unless it is already alive. It runs
+// after the append and checks under d.mu, as does the worker's exit
+// check in idle, so a purge queued while the worker is deciding to exit
+// either keeps it running or starts a new task.
+func (d *Dispatcher) wake(w int) {
+	d.mu.Lock()
+	start := !d.running[w] && !d.stopped
+	if start {
+		d.running[w] = true
+	}
+	d.mu.Unlock()
+	if start {
+		d.env.Go("coherence.dispatch", func() { d.runWorker(w) })
+	}
 }
 
 // Stats snapshots the dispatcher counters and queue depth.
@@ -263,24 +281,21 @@ func (d *Dispatcher) Stats() DispatchStats {
 	return st
 }
 
-func (d *Dispatcher) isStopped() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stopped
-}
-
-// runWorker is one drain loop: wake per tick, flush every queue pinned
-// to this worker. It exits when the dispatcher stops or when Sleep stops
-// consuming time (the simulation shut down).
+// runWorker is one drain task: sleep a tick, flush every queue pinned
+// to this worker, and repeat until those queues are empty. It also exits
+// when the dispatcher stops or when Sleep stops consuming time (the
+// simulation shut down).
 func (d *Dispatcher) runWorker(w int) {
 	interval := d.cfg.FlushInterval
 	for {
 		before := d.env.Now()
 		d.env.Sleep(interval)
-		if d.isStopped() || d.env.Now().Sub(before) < interval {
+		d.mu.Lock()
+		if d.stopped || d.env.Now().Sub(before) < interval {
+			d.running[w] = false
+			d.mu.Unlock()
 			return
 		}
-		d.mu.Lock()
 		mine := make([]*dispatchSub, 0, len(d.order))
 		for _, s := range d.order {
 			if s.worker == w {
@@ -291,7 +306,30 @@ func (d *Dispatcher) runWorker(w int) {
 		for _, s := range mine {
 			d.flush(s)
 		}
+		if d.idle(w) {
+			return
+		}
 	}
+}
+
+// idle reports whether every queue pinned to worker w is empty, and if
+// so marks the worker stopped under the same lock wake checks.
+func (d *Dispatcher) idle(w int) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, s := range d.order {
+		if s.worker != w {
+			continue
+		}
+		s.mu.Lock()
+		n := len(s.pending)
+		s.mu.Unlock()
+		if n > 0 {
+			return false
+		}
+	}
+	d.running[w] = false
+	return true
 }
 
 // flush drains one subscriber's queue: batch-capable endpoints get the

@@ -78,7 +78,7 @@ func TestDispatchBatchedEqualsPerMessage(t *testing.T) {
 			net.SetLink(n, "edge", simnet.Path{Latency: 5 * time.Millisecond})
 		}
 		hub := NewHub(sim, net.Node("edge"), nil)
-		hub.EnableDispatch(DispatchConfig{Shards: 8, Workers: 2, FlushInterval: 5 * time.Millisecond})
+		hub.SetDispatch(DispatchConfig{Shards: 8, Workers: 2, FlushInterval: 5 * time.Millisecond})
 		l, err := net.Node("edge").Listen(80)
 		if err != nil {
 			t.Errorf("listen: %v", err)
@@ -135,8 +135,8 @@ func TestDispatchBatchedEqualsPerMessage(t *testing.T) {
 		if breqs*4 > lreqs {
 			t.Errorf("batch endpoint saw %d wire requests vs %d per-message: expected >= 4x coalescing", breqs, lreqs)
 		}
-		if hub.Published.Load() != purges {
-			t.Errorf("published = %d, want %d", hub.Published.Load(), purges)
+		if got := hub.Stats().Published; got != purges {
+			t.Errorf("published = %d, want %d", got, purges)
 		}
 	})
 	sim.Shutdown()
@@ -156,7 +156,7 @@ func TestDispatchShardRouting(t *testing.T) {
 			net.SetLink(n, "edge", simnet.Path{Latency: 2 * time.Millisecond})
 		}
 		hub := NewHub(sim, net.Node("edge"), nil)
-		d := hub.EnableDispatch(DispatchConfig{Shards: 8, FlushInterval: 2 * time.Millisecond})
+		d := hub.SetDispatch(DispatchConfig{Shards: 8, FlushInterval: 2 * time.Millisecond})
 
 		sinkA := startSink(t, sim, net, "apa")
 		sinkB := startSink(t, sim, net, "apb")
@@ -216,7 +216,7 @@ func TestDispatchEvictsDeadSubscriber(t *testing.T) {
 		net := simnet.New(sim, 3)
 		net.SetLink("edge", "deadap", simnet.Path{Latency: time.Millisecond})
 		hub := NewHub(sim, net.Node("edge"), nil)
-		d := hub.EnableDispatch(DispatchConfig{FlushInterval: 2 * time.Millisecond, MaxFailures: 2})
+		d := hub.SetDispatch(DispatchConfig{FlushInterval: 2 * time.Millisecond, MaxFailures: 2})
 		dead := Subscription{Addr: transport.Addr{Host: "deadap", Port: 8080}, Path: DefaultPurgePath}
 		d.Register(dead)
 
@@ -233,47 +233,6 @@ func TestDispatchEvictsDeadSubscriber(t *testing.T) {
 		d.Register(dead)
 		if st := d.Stats(); st.Subscribers != 1 {
 			t.Errorf("re-subscribe did not restore the registration: %+v", st)
-		}
-	})
-	sim.Shutdown()
-	sim.Wait()
-	if err := sim.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyFanoutEvictsDeadSubscriber covers the same eviction contract
-// on the per-delivery fan-out path.
-func TestLegacyFanoutEvictsDeadSubscriber(t *testing.T) {
-	sim := vclock.NewSim(time.Time{})
-	sim.Run("main", func() {
-		net := simnet.New(sim, 3)
-		net.SetLink("edge", "deadap", simnet.Path{Latency: time.Millisecond})
-		net.SetLink("edge", "liveap", simnet.Path{Latency: time.Millisecond})
-		hub := NewHub(sim, net.Node("edge"), nil)
-		hub.MaxFailures = 2
-		live := startSink(t, sim, net, "liveap")
-		for _, host := range []string{"deadap", "liveap"} {
-			body := mustJSON(t, Subscription{Addr: transport.Addr{Host: host, Port: 8080}})
-			if resp := hub.ServeHTTP(&httplite.Request{Path: PathSubscribe, Body: body}); resp.Status != 200 {
-				t.Errorf("subscribe %s: %d", host, resp.Status)
-			}
-		}
-		for i := 0; i < 2; i++ {
-			resp := hub.ServeHTTP(&httplite.Request{Path: PathPublish, Body: mustJSON(t, Msg{URL: "http://a.example/x", Version: int64(i + 1)})})
-			if resp.Status != 200 {
-				t.Errorf("publish: %d", resp.Status)
-			}
-			sim.Sleep(50 * time.Millisecond)
-		}
-		if got := len(hub.Subscribers()); got != 1 {
-			t.Errorf("subscribers = %d, want 1 (dead endpoint evicted)", got)
-		}
-		if st := hub.Stats(); st.Evicted != 1 {
-			t.Errorf("evicted = %d, want 1", st.Evicted)
-		}
-		if msgs, _ := live.snapshot(); len(msgs) != 2 {
-			t.Errorf("live subscriber got %d msgs, want 2", len(msgs))
 		}
 	})
 	sim.Shutdown()
@@ -309,57 +268,135 @@ func (h deadHost) Dial(transport.Addr) (transport.Stream, error) {
 }
 
 // TestHubConcurrentSubscribePublishDispatch hammers subscribe, publish,
-// dispatch and stats from real goroutines under the race detector, on
-// both fan-out engines.
+// dispatch and stats from real goroutines under the race detector, with
+// worker tasks starting and exiting as the queues fill and drain. The
+// subtest is named for the dispatch plane the publications go through.
 func TestHubConcurrentSubscribePublishDispatch(t *testing.T) {
-	for _, mode := range []string{"legacy", "dispatch"} {
-		t.Run(mode, func(t *testing.T) {
-			env := &vclock.Real{}
-			hub := NewHub(env, deadHost{name: "edge"}, nil)
-			var d *Dispatcher
-			if mode == "dispatch" {
-				d = hub.EnableDispatch(DispatchConfig{
-					Shards:        8,
-					Workers:       4,
-					FlushInterval: time.Millisecond,
-					MaxFailures:   3,
-				})
-			}
-			const workers, rounds = 8, 200
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < rounds; i++ {
-						switch (w + i) % 4 {
-						case 0:
-							sub := Subscription{
-								Addr:    transport.Addr{Host: fmt.Sprintf("ap%d", i%16), Port: 8080},
-								Domains: []string{fmt.Sprintf("app%d.example", i%8)},
-								Batch:   i%2 == 0,
-							}
-							hub.ServeHTTP(&httplite.Request{Path: PathSubscribe, Body: mustJSON(t, sub)})
-						case 1:
-							body := []byte(fmt.Sprintf(`{"url":"http://app%d.example/obj%d","version":%d}`, i%8, i, i))
-							hub.ServeHTTP(&httplite.Request{Path: PathPublish, Body: body})
-						case 2:
-							hub.Stats()
-							hub.Subscribers()
-						case 3:
-							hub.ServeHTTP(&httplite.Request{Path: PathStats})
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			if d != nil {
-				d.Stop()
-			}
-			if hub.Published.Load() == 0 {
-				t.Error("no publications recorded")
-			}
+	t.Run("dispatch", func(t *testing.T) {
+		env := &vclock.Real{}
+		hub := NewHub(env, deadHost{name: "edge"}, nil)
+		d := hub.SetDispatch(DispatchConfig{
+			Shards:        8,
+			Workers:       4,
+			FlushInterval: time.Millisecond,
+			MaxFailures:   3,
 		})
+		const workers, rounds = 8, 200
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					switch (w + i) % 4 {
+					case 0:
+						sub := Subscription{
+							Addr:    transport.Addr{Host: fmt.Sprintf("ap%d", i%16), Port: 8080},
+							Domains: []string{fmt.Sprintf("app%d.example", i%8)},
+							Batch:   i%2 == 0,
+						}
+						hub.ServeHTTP(&httplite.Request{Path: PathSubscribe, Body: mustJSON(t, sub)})
+					case 1:
+						body := []byte(fmt.Sprintf(`{"url":"http://app%d.example/obj%d","version":%d}`, i%8, i, i))
+						hub.ServeHTTP(&httplite.Request{Path: PathPublish, Body: body})
+					case 2:
+						hub.Stats()
+						hub.Subscribers()
+					case 3:
+						hub.ServeHTTP(&httplite.Request{Path: PathStats})
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		d.Stop()
+		env.Wait()
+		if hub.Stats().Published == 0 {
+			t.Error("no publications recorded")
+		}
+	})
+}
+
+// taskCountingEnv wraps a Sim and counts the tasks started through it,
+// per name: how many ever started and how many are still running.
+type taskCountingEnv struct {
+	*vclock.Sim
+	mu      sync.Mutex
+	started map[string]int
+	live    map[string]int
+}
+
+func (e *taskCountingEnv) Go(name string, fn func()) {
+	e.mu.Lock()
+	e.started[name]++
+	e.live[name]++
+	e.mu.Unlock()
+	e.Sim.Go(name, func() {
+		defer func() {
+			e.mu.Lock()
+			e.live[name]--
+			e.mu.Unlock()
+		}()
+		fn()
+	})
+}
+
+func (e *taskCountingEnv) counts(name string) (started, live int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.started[name], e.live[name]
+}
+
+// TestDispatchWorkersRunOnlyWhileQueued pins the worker lifecycle: a hub
+// with subscribers but no purges schedules no drain task, a purge starts
+// one and is delivered, and the task exits once its queues drain, so an
+// idle hub never ticks the clock.
+func TestDispatchWorkersRunOnlyWhileQueued(t *testing.T) {
+	sim := vclock.NewSim(time.Time{})
+	env := &taskCountingEnv{Sim: sim, started: map[string]int{}, live: map[string]int{}}
+	sim.Run("main", func() {
+		net := simnet.New(sim, 5)
+		for _, n := range []string{"ap1", "ap2"} {
+			net.SetLink("edge", n, simnet.Path{Latency: time.Millisecond})
+		}
+		hub := NewHub(env, net.Node("edge"), nil)
+		sinks := []*batchSink{startSink(t, sim, net, "ap1"), startSink(t, sim, net, "ap2")}
+		for _, host := range []string{"ap1", "ap2"} {
+			body := mustJSON(t, Subscription{Addr: transport.Addr{Host: host, Port: 8080}})
+			if resp := hub.ServeHTTP(&httplite.Request{Path: PathSubscribe, Body: body}); resp.Status != 200 {
+				t.Errorf("subscribe %s: %d", host, resp.Status)
+			}
+		}
+
+		sim.Sleep(time.Second)
+		if started, _ := env.counts("coherence.dispatch"); started != 0 {
+			t.Errorf("%d dispatch tasks started before any purge, want 0", started)
+		}
+
+		body := mustJSON(t, Msg{URL: "http://a.example/x", Version: 1})
+		if resp := hub.ServeHTTP(&httplite.Request{Path: PathPublish, Body: body}); resp.Status != 200 {
+			t.Errorf("publish: %d", resp.Status)
+		}
+		if started, _ := env.counts("coherence.dispatch"); started == 0 {
+			t.Error("a purge was queued but no dispatch task started")
+		}
+		sim.Sleep(time.Second)
+		for i, sink := range sinks {
+			if msgs, _ := sink.snapshot(); len(msgs) != 1 {
+				t.Errorf("ap%d received %d purges, want 1", i+1, len(msgs))
+			}
+		}
+		if st := hub.Stats().Dispatch; st.Queued != 0 || st.Delivered != 2 {
+			t.Errorf("dispatch stats = %+v, want 2 delivered and nothing queued", st)
+		}
+		if _, live := env.counts("coherence.dispatch"); live != 0 {
+			t.Errorf("%d dispatch tasks still alive after the queues drained, want 0", live)
+		}
+	})
+	sim.Shutdown()
+	sim.Wait()
+	if err := sim.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,7 +3,6 @@ package coherence
 import (
 	"encoding/json"
 	"sync"
-	"sync/atomic"
 
 	"apecache/internal/httplite"
 	"apecache/internal/telemetry"
@@ -17,46 +16,41 @@ import (
 // httplite.Handler for the PathSubscribe, PathPublish and PathStats
 // routes, so it shares the edge server's port via Wrap.
 //
-// Two fan-out engines exist. The default relays each publication to all
-// subscribers, one background task per delivery — simple, and fine for
-// a handful of downstreams. EnableDispatch switches the hub to the
-// sharded, batched Dispatcher so publication cost stays near-independent
-// of fleet size; the wire stays compatible either way (subscribers that
-// did not declare Batch keep receiving single-Msg bodies).
+// Every publication fans out through one sharded, batched Dispatcher,
+// so publication cost stays near-independent of fleet size and a dead
+// subscriber costs bounded queue space, not a task per purge.
+// Subscribers that did not declare Batch keep receiving single-Msg
+// bodies, so the wire stays compatible with every endpoint.
 type Hub struct {
-	env    vclock.Env
-	client *httplite.Client
 	// onPurge invalidates the local (edge) copy before the fan-out, so a
 	// revalidating AP never re-fetches the stale bytes it just purged.
 	onPurge func(Msg)
 
-	// MaxFailures is the consecutive delivery-failure count after which
-	// the legacy fan-out evicts a subscriber (restarts re-subscribe via
-	// the idempotent replace path). Zero means DefaultMaxFailures;
-	// negative disables eviction. Set before serving traffic. A
-	// dispatcher, when enabled, applies its own DispatchConfig bound.
-	MaxFailures int
-
 	mu       sync.Mutex
-	subs     []Subscription
-	failures map[string]int // legacy path: consecutive failures by Addr.String()
 	dispatch *Dispatcher
-
-	// Published counts accepted purge publications, Relayed the
-	// per-subscriber deliveries attempted (message granularity, whatever
-	// the wire batching). Atomics: safe to read live, e.g. from the
-	// stats route.
-	Published atomic.Int64
-	Relayed   atomic.Int64
-	evicted   atomic.Int64
-
-	tel       *telemetry.Telemetry
+	tel      *telemetry.Telemetry
+	// published counts accepted purge publications, relayed the
+	// per-subscriber deliveries ordered (message granularity, whatever
+	// the wire batching). Standalone until Instrument registers them.
 	published *telemetry.Counter
 	relayed   *telemetry.Counter
 }
 
+// NewHub builds a hub that dials subscribers from host through a
+// default-configured dispatcher (see SetDispatch). onPurge may be nil
+// when there is no colocated cache to invalidate.
+func NewHub(env vclock.Env, host transport.Host, onPurge func(Msg)) *Hub {
+	return &Hub{
+		onPurge:   onPurge,
+		dispatch:  NewDispatcher(env, httplite.NewClient(host), DispatchConfig{}),
+		published: new(telemetry.Counter),
+		relayed:   new(telemetry.Counter),
+	}
+}
+
 // Instrument registers the bus counters and a subscriber-count gauge,
-// and enables purge event logging.
+// and enables purge event logging. Call before serving traffic: counts
+// taken earlier stay on the hub's standalone counters.
 func (h *Hub) Instrument(tel *telemetry.Telemetry) {
 	if tel == nil {
 		return
@@ -72,36 +66,23 @@ func (h *Hub) Instrument(tel *telemetry.Telemetry) {
 	h.mu.Unlock()
 }
 
-// NewHub builds a hub that dials subscribers from host. onPurge may be
-// nil when there is no colocated cache to invalidate.
-func NewHub(env vclock.Env, host transport.Host, onPurge func(Msg)) *Hub {
-	return &Hub{
-		env:      env,
-		client:   httplite.NewClient(host),
-		onPurge:  onPurge,
-		failures: make(map[string]int),
-	}
-}
-
-// EnableDispatch switches the hub's fan-out to a sharded, batched
-// dispatcher (starting its worker pool on the hub's env) and returns it.
-// Call before serving traffic, from a sim task when under the virtual
-// clock; already-registered subscribers migrate over.
-func (h *Hub) EnableDispatch(cfg DispatchConfig) *Dispatcher {
-	d := NewDispatcher(h.env, h.client, cfg)
+// SetDispatch replaces the hub's dispatcher with one tuned by cfg (zero
+// fields default) and returns it; registered subscribers move over.
+// Call before serving traffic.
+func (h *Hub) SetDispatch(cfg DispatchConfig) *Dispatcher {
 	h.mu.Lock()
-	migrate := h.subs
-	h.subs = nil
-	h.dispatch = d
-	h.mu.Unlock()
-	for _, sub := range migrate {
+	defer h.mu.Unlock()
+	old := h.dispatch
+	old.Stop()
+	d := NewDispatcher(old.env, old.client, cfg)
+	for _, sub := range old.Subscribers() {
 		d.Register(sub)
 	}
+	h.dispatch = d
 	return d
 }
 
-// Dispatcher returns the attached dispatcher, nil when the hub runs the
-// legacy per-delivery fan-out.
+// Dispatcher returns the hub's fan-out dispatcher.
 func (h *Hub) Dispatcher() *Dispatcher {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -112,16 +93,7 @@ var _ httplite.Handler = (*Hub)(nil)
 
 // Subscribers returns a snapshot of the registered subscriber endpoints.
 func (h *Hub) Subscribers() []transport.Addr {
-	h.mu.Lock()
-	d := h.dispatch
-	subs := h.subs
-	if d == nil {
-		subs = append([]Subscription(nil), subs...)
-	}
-	h.mu.Unlock()
-	if d != nil {
-		subs = d.Subscribers()
-	}
+	subs := h.Dispatcher().Subscribers()
 	out := make([]transport.Addr, 0, len(subs))
 	for _, s := range subs {
 		out = append(out, s.Addr)
@@ -131,28 +103,26 @@ func (h *Hub) Subscribers() []transport.Addr {
 
 // HubStats is the PathStats payload.
 type HubStats struct {
-	Published   int64          `json:"published"`
-	Relayed     int64          `json:"relayed"`
-	Subscribers int            `json:"subscribers"`
-	Evicted     int64          `json:"evicted"`
-	Dispatch    *DispatchStats `json:"dispatch,omitempty"`
+	Published   int64         `json:"published"`
+	Relayed     int64         `json:"relayed"`
+	Subscribers int           `json:"subscribers"`
+	Evicted     int64         `json:"evicted"`
+	Dispatch    DispatchStats `json:"dispatch"`
 }
 
-// Stats snapshots the hub counters (and the dispatcher's, when one is
-// enabled).
+// Stats snapshots the hub counters and its dispatcher's.
 func (h *Hub) Stats() HubStats {
-	st := HubStats{
-		Published:   h.Published.Load(),
-		Relayed:     h.Relayed.Load(),
-		Subscribers: len(h.Subscribers()),
-		Evicted:     h.evicted.Load(),
+	h.mu.Lock()
+	d, published, relayed := h.dispatch, h.published, h.relayed
+	h.mu.Unlock()
+	ds := d.Stats()
+	return HubStats{
+		Published:   published.Value(),
+		Relayed:     relayed.Value(),
+		Subscribers: ds.Subscribers,
+		Evicted:     ds.Evicted,
+		Dispatch:    ds,
 	}
-	if d := h.Dispatcher(); d != nil {
-		ds := d.Stats()
-		st.Evicted += ds.Evicted
-		st.Dispatch = &ds
-	}
-	return st
 }
 
 // ServeHTTP implements httplite.Handler for the bus routes.
@@ -188,6 +158,9 @@ func (h *Hub) handleStats(req *httplite.Request) *httplite.Response {
 	return resp
 }
 
+// handleSubscribe registers a downstream cache. Re-subscribing is
+// idempotent: a restarted daemon (possibly announcing a new purge path)
+// replaces its old registration instead of doubling every delivery.
 func (h *Hub) handleSubscribe(req *httplite.Request) *httplite.Response {
 	var sub Subscription
 	if err := json.Unmarshal(req.Body, &sub); err != nil || sub.Addr.IsZero() {
@@ -196,28 +169,13 @@ func (h *Hub) handleSubscribe(req *httplite.Request) *httplite.Response {
 	if sub.Path == "" {
 		sub.Path = DefaultPurgePath
 	}
-	h.mu.Lock()
-	if d := h.dispatch; d != nil {
-		h.mu.Unlock()
-		d.Register(sub)
-		return httplite.NewResponse(200, nil)
-	}
-	defer h.mu.Unlock()
-	delete(h.failures, sub.Addr.String())
-	for i, s := range h.subs {
-		if s.Addr == sub.Addr {
-			// Idempotent re-subscribe: one endpoint holds exactly one
-			// registration. A restarted daemon (possibly announcing a new
-			// purge path) replaces its old entry instead of appending a
-			// duplicate that would double every purge delivery.
-			h.subs[i] = sub
-			return httplite.NewResponse(200, nil)
-		}
-	}
-	h.subs = append(h.subs, sub)
+	h.Dispatcher().Register(sub)
 	return httplite.NewResponse(200, nil)
 }
 
+// handlePublish applies one purge locally and queues it for every
+// interested subscriber. Delivery is best-effort, like the edge's TTLs
+// it rides over: a lost purge degrades to TTL-only behaviour.
 func (h *Hub) handlePublish(req *httplite.Request) *httplite.Response {
 	msg, err := ParseMsg(req.Body)
 	if err != nil {
@@ -229,74 +187,12 @@ func (h *Hub) handlePublish(req *httplite.Request) *httplite.Response {
 	if h.onPurge != nil {
 		h.onPurge(msg)
 	}
-	if d := h.Dispatcher(); d != nil {
-		n := d.Publish(msg)
-		h.Published.Add(1)
-		h.Relayed.Add(int64(n))
-		h.mu.Lock()
-		tel := h.tel
-		h.mu.Unlock()
-		h.published.Inc()
-		h.relayed.Add(int64(n))
-		tel.Emit("purge", "url", msg.URL, "version", msg.Version, "gone", msg.Gone, "subscribers", n)
-		return httplite.NewResponse(200, nil)
-	}
 	h.mu.Lock()
-	h.Published.Add(1)
-	subs := make([]Subscription, len(h.subs))
-	copy(subs, h.subs)
-	h.Relayed.Add(int64(len(subs)))
-	tel := h.tel
-	h.published.Inc()
-	h.relayed.Add(int64(len(subs)))
+	d, tel, published, relayed := h.dispatch, h.tel, h.published, h.relayed
 	h.mu.Unlock()
-	tel.Emit("purge", "url", msg.URL, "version", msg.Version, "gone", msg.Gone, "subscribers", len(subs))
-
-	body, _ := json.Marshal(msg)
-	for _, sub := range subs {
-		sub := sub
-		// Relay in background tasks: publication latency must not grow
-		// with fleet size, and one dead subscriber must not stall the
-		// rest. Delivery is best-effort, like the edge's TTLs it rides
-		// over — a lost purge degrades to TTL-only behaviour.
-		h.env.Go("coherence.relay", func() {
-			preq := httplite.NewRequest("POST", sub.Addr.Host, sub.Path)
-			preq.Body = body
-			resp, derr := h.client.Do(sub.Addr, preq)
-			h.deliveryResult(sub.Addr, derr == nil && resp.Status == 200)
-		})
-	}
+	n := d.Publish(msg)
+	published.Inc()
+	relayed.Add(int64(n))
+	tel.Emit("purge", "url", msg.URL, "version", msg.Version, "gone", msg.Gone, "subscribers", n)
 	return httplite.NewResponse(200, nil)
-}
-
-// deliveryResult tracks consecutive legacy-path delivery failures and
-// evicts an endpoint once they reach MaxFailures: a dead AP must not be
-// dialed on every purge forever, and its restart re-subscribes anyway.
-func (h *Hub) deliveryResult(addr transport.Addr, ok bool) {
-	limit := h.MaxFailures
-	if limit == 0 {
-		limit = DefaultMaxFailures
-	}
-	if limit < 0 {
-		return
-	}
-	key := addr.String()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if ok {
-		delete(h.failures, key)
-		return
-	}
-	h.failures[key]++
-	if h.failures[key] < limit {
-		return
-	}
-	delete(h.failures, key)
-	for i, s := range h.subs {
-		if s.Addr == addr {
-			h.subs = append(h.subs[:i], h.subs[i+1:]...)
-			h.evicted.Add(1)
-			return
-		}
-	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -219,6 +221,32 @@ func TestTable7CountsEffort(t *testing.T) {
 			t.Errorf("%s: API model (%f) should impact more LoC than annotations (%f)",
 				res.Rows[i][0], api, ann)
 		}
+	}
+}
+
+// TestTable7RunsOutsideSourceTree: run from a directory with no go.mod
+// above it, or from inside the nested loopbench module, table7 still
+// finds the example sources and counts the same lines.
+func TestTable7RunsOutsideSourceTree(t *testing.T) {
+	inTree, err := mustRun(t, "table7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loopbench, err := filepath.Abs(filepath.Join("..", "..", "loopbench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, dir := range map[string]string{"outside": t.TempDir(), "loopbench": loopbench} {
+		t.Run(name, func(t *testing.T) {
+			t.Chdir(dir)
+			res, err := mustRun(t, "table7")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Rows, inTree.Rows) {
+				t.Errorf("rows %q, want %q", res.Rows, inTree.Rows)
+			}
+		})
 	}
 }
 

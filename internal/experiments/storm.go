@@ -29,8 +29,10 @@ var stormFleets = []struct {
 
 // runFleetStorm replays the same purge storm — every object invalidated
 // at once, one flash-crowd object resident across a whole controller's
-// fleet — through the legacy goroutine-per-delivery fan-out and through
-// the sharded, batched dispatch plane, at two fleet sizes. The claims
+// fleet — in the two fan-out modes of testbed.StormConfig, at two fleet
+// sizes. "legacy" is wildcard hub subscriptions plus the controllers'
+// broadcast relay; "sharded" is domain-sharded batch subscriptions plus
+// location-targeted controller relays. The claims
 // under test: the effective purge set (resident copies actually evicted)
 // is identical in both modes, publication latency stays flat as the
 // fleet quadruples, and the sharded plane spends an order of magnitude

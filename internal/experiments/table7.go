@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 )
 
@@ -89,30 +90,38 @@ func runTable7(RunConfig) (*Result, error) {
 	return res, nil
 }
 
-// findRepoRoot walks upward from the working directory to the module
-// root (the directory containing go.mod).
+// findRepoRoot returns the apecache module root (the directory whose
+// go.mod declares it; nested modules such as loopbench are skipped)
+// above the working directory, or else above this file's compile-time
+// location, so a built apebench also runs from outside the source tree.
 func findRepoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", fmt.Errorf("table7: %w", err)
+	var starts []string
+	if wd, err := os.Getwd(); err == nil {
+		starts = append(starts, wd)
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("table7: go.mod not found above %s", dir)
-		}
-		dir = parent
+	if _, file, _, ok := runtime.Caller(0); ok {
+		starts = append(starts, filepath.Dir(file))
 	}
+	for _, dir := range starts {
+		for {
+			if mod, err := os.ReadFile(filepath.Join(dir, "go.mod")); err == nil && strings.HasPrefix(string(mod), "module apecache\n") {
+				return dir, nil
+			}
+			parent := filepath.Dir(dir)
+			if parent == dir {
+				break
+			}
+			dir = parent
+		}
+	}
+	return "", fmt.Errorf("apecache go.mod not found above %s", strings.Join(starts, " or "))
 }
 
 // countMatchingLines counts lines of path satisfying match.
 func countMatchingLines(path string, match func(string) bool) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, fmt.Errorf("table7: %w", err)
+		return 0, err
 	}
 	count := 0
 	for _, line := range strings.Split(string(data), "\n") {
@@ -127,7 +136,7 @@ func countMatchingLines(path string, match func(string) bool) (int, error) {
 func dirSourceBytes(dir string) (int64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, fmt.Errorf("table7: %w", err)
+		return 0, err
 	}
 	var total int64
 	for _, e := range entries {
@@ -137,7 +146,7 @@ func dirSourceBytes(dir string) (int64, error) {
 		}
 		info, err := e.Info()
 		if err != nil {
-			return 0, fmt.Errorf("table7: %w", err)
+			return 0, err
 		}
 		total += info.Size()
 	}

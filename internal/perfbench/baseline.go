@@ -1,6 +1,7 @@
 package perfbench
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -8,7 +9,10 @@ import (
 	"time"
 
 	"apecache/internal/cachepolicy"
+	"apecache/internal/coherence"
 	"apecache/internal/dnswire"
+	"apecache/internal/httplite"
+	"apecache/internal/vclock"
 )
 
 // mutexStore is a frozen replica of the seed store's lookup path — one
@@ -186,4 +190,57 @@ func legacyWorstApp(eff map[string]float64, keep []*cachepolicy.Entry) string {
 		}
 	}
 	return worst
+}
+
+// legacyHub is a frozen replica of the coherence hub's retired
+// goroutine-per-delivery fan-out: each publication copies the subscriber
+// list under the hub mutex and spawns one relay task per subscriber. It
+// keeps the publish-legacy micro measuring the design the sharded
+// dispatcher replaced. Dead-subscriber eviction is left out; the micro
+// always ran with it disabled.
+type legacyHub struct {
+	env    vclock.Env
+	client *httplite.Client
+
+	mu   sync.Mutex
+	subs []coherence.Subscription
+}
+
+func (h *legacyHub) ServeHTTP(req *httplite.Request) *httplite.Response {
+	switch req.Path {
+	case coherence.PathSubscribe:
+		var sub coherence.Subscription
+		if err := json.Unmarshal(req.Body, &sub); err != nil || sub.Addr.IsZero() {
+			return httplite.NewResponse(400, []byte("bad subscription body"))
+		}
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		for i, s := range h.subs {
+			if s.Addr == sub.Addr {
+				h.subs[i] = sub
+				return httplite.NewResponse(200, nil)
+			}
+		}
+		h.subs = append(h.subs, sub)
+		return httplite.NewResponse(200, nil)
+	case coherence.PathPublish:
+		msg, err := coherence.ParseMsg(req.Body)
+		if err != nil {
+			return httplite.NewResponse(400, []byte(err.Error()))
+		}
+		h.mu.Lock()
+		subs := make([]coherence.Subscription, len(h.subs))
+		copy(subs, h.subs)
+		h.mu.Unlock()
+		body, _ := json.Marshal(msg)
+		for _, sub := range subs {
+			h.env.Go("coherence.relay", func() {
+				preq := httplite.NewRequest("POST", sub.Addr.Host, sub.Path)
+				preq.Body = body
+				h.client.Do(sub.Addr, preq)
+			})
+		}
+		return httplite.NewResponse(200, nil)
+	}
+	return httplite.NewResponse(404, nil)
 }

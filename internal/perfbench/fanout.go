@@ -25,15 +25,17 @@ var fanoutFleets = [2]int{64, 1024}
 // is the cheapest honest stand-in for "the network happens elsewhere".
 type deadEndHost struct{ name string }
 
-func (h deadEndHost) Name() string                                      { return h.name }
-func (h deadEndHost) Listen(uint16) (transport.Listener, error)         { return nil, transport.ErrRefused }
-func (h deadEndHost) ListenPacket(uint16) (transport.PacketConn, error) { return nil, transport.ErrRefused }
-func (h deadEndHost) Dial(transport.Addr) (transport.Stream, error)     { return nil, transport.ErrRefused }
+func (h deadEndHost) Name() string                              { return h.name }
+func (h deadEndHost) Listen(uint16) (transport.Listener, error) { return nil, transport.ErrRefused }
+func (h deadEndHost) ListenPacket(uint16) (transport.PacketConn, error) {
+	return nil, transport.ErrRefused
+}
+func (h deadEndHost) Dial(transport.Addr) (transport.Stream, error) { return nil, transport.ErrRefused }
 
 // fanoutSubscribe registers n subscribers on the hub through the real
 // subscribe route. Sharded subscribers declare one domain each, so the
 // shard map can confine publications.
-func fanoutSubscribe(hub *coherence.Hub, n int, sharded bool) {
+func fanoutSubscribe(hub httplite.Handler, n int, sharded bool) {
 	for i := 0; i < n; i++ {
 		sub := coherence.Subscription{
 			Addr: transport.Addr{Host: fmt.Sprintf("ap%04d", i), Port: 80},
@@ -55,10 +57,11 @@ func fanoutSubscribe(hub *coherence.Hub, n int, sharded bool) {
 	}
 }
 
-// benchFanout times one purge publication through the hub's two fan-out
-// engines at both fleet sizes. Legacy spawns one relay goroutine per
-// subscriber on the publish path, so its cost tracks the fleet; the
-// dispatcher only appends to the queues of the matching shard — sized
+// benchFanout times one purge publication through the hub's dispatcher
+// and through legacyHub, the retired fan-out, at both fleet sizes.
+// Legacy spawns one relay goroutine per subscriber on the publish path,
+// so its cost tracks the fleet; the dispatcher only appends to the
+// queues of the matching shard — sized
 // here at ~8 subscribers per shard, the publication touches a constant
 // number of queues however large the fleet gets. Delivery I/O runs
 // against dead endpoints with eviction disabled, as a real hub's relay
@@ -78,7 +81,7 @@ func (r *Report) benchFanout(iters int) {
 		}
 		bodies[i] = b
 	}
-	publishOp := func(hub *coherence.Hub) func(int) {
+	publishOp := func(hub httplite.Handler) func(int) {
 		return func(i int) {
 			req := httplite.NewRequest("POST", "hub", coherence.PathPublish)
 			req.Body = bodies[i%len(bodies)]
@@ -90,13 +93,12 @@ func (r *Report) benchFanout(iters int) {
 
 	var legacyNs, shardedNs [2]float64
 	for fi, fleet := range fanoutFleets {
-		legacy := coherence.NewHub(&vclock.Real{}, deadEndHost{"hub"}, nil)
-		legacy.MaxFailures = -1
+		legacy := &legacyHub{env: &vclock.Real{}, client: httplite.NewClient(deadEndHost{"hub"})}
 		fanoutSubscribe(legacy, fleet, false)
 		legacyNs[fi] = timeOp(n, publishOp(legacy))
 
 		sharded := coherence.NewHub(&vclock.Real{}, deadEndHost{"hub"}, nil)
-		d := sharded.EnableDispatch(coherence.DispatchConfig{
+		d := sharded.SetDispatch(coherence.DispatchConfig{
 			Shards:      fleet / 8,
 			MaxFailures: -1,
 		})

@@ -22,13 +22,16 @@ import (
 // default 16x64 = 1024 APs), hit with a concurrent purge storm plus one
 // flash-crowd object resident on a whole controller's fleet.
 //
-// The same topology runs in two fan-out modes. Legacy relays every
-// publication to every controller and from there to every AP, one POST
-// per message (wire cost ~ fleet size per purge). Sharded enables the
-// dispatcher at both tiers: the hub routes each purge to the domain's
-// shard subscribers in coalesced batches, and controllers relay only to
-// the APs recorded as holding the object. The effective purge set —
-// resident copies actually evicted — must come out identical either way.
+// The same topology runs in two fan-out modes; the hub dispatches
+// through its one sharded plane in both. Legacy subscribes every
+// controller as a wildcard, single-Msg endpoint, and each controller
+// broadcasts every purge to all its APs, one POST per message (wire cost
+// ~ fleet size per purge). Sharded subscribes controllers for their own
+// domains with batch delivery, so the hub routes each purge to the
+// domain's shard subscribers in coalesced batches, and enables the
+// controllers' dispatchers, which relay only to the APs recorded as
+// holding the object. The effective purge set — resident copies actually
+// evicted — must come out identical either way.
 type StormConfig struct {
 	// Controllers is the Wi-Cache controller count (default 16).
 	Controllers int
@@ -46,11 +49,10 @@ type StormConfig struct {
 	// FlashCrowdHolders replicates object 0 this widely on its home
 	// controller — the flash crowd (default APsPerController).
 	FlashCrowdHolders int
-	// Sharded enables the dispatcher at the hub and every controller;
-	// false runs the legacy goroutine-per-delivery fan-out.
+	// Sharded subscribes controllers by domain with batching and enables
+	// their location-targeted dispatchers; false runs wildcard
+	// subscriptions and the controllers' broadcast relay.
 	Sharded bool
-	// Dispatch tunes the dispatchers when Sharded (zero fields default).
-	Dispatch coherence.DispatchConfig
 	// Seed drives the simnet and holder placement (default 1).
 	Seed int64
 	// Settle is the post-storm drain time before counters are read
@@ -189,9 +191,6 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 	// The hub shares no edge cache here: the storm exercises the bus
 	// plane alone.
 	hub := coherence.NewHub(sim, net.Node(hubNode), nil)
-	if cfg.Sharded {
-		hub.EnableDispatch(cfg.Dispatch)
-	}
 	hubL, err := net.Node(hubNode).Listen(80)
 	if err != nil {
 		return fmt.Errorf("storm hub: %w", err)
@@ -207,7 +206,7 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 	for c := 0; c < cfg.Controllers; c++ {
 		ctl := wicache.NewController(sim, net.Node(stormCtlName(c)))
 		if cfg.Sharded {
-			ctl.EnableDispatch(cfg.Dispatch)
+			ctl.EnableDispatch(coherence.DispatchConfig{})
 		}
 		for a := 0; a < cfg.APsPerController; a++ {
 			ap := &stormAP{
@@ -316,12 +315,8 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 	// Drain the counters.
 	res.Publications = cfg.Objects
 	hubStats := hub.Stats()
-	if hubStats.Dispatch != nil {
-		res.HubWire = hubStats.Dispatch.Batches
-		res.Dropped += hubStats.Dispatch.Dropped
-	} else {
-		res.HubWire = hubStats.Relayed
-	}
+	res.HubWire = hubStats.Dispatch.Batches
+	res.Dropped += hubStats.Dispatch.Dropped
 	res.Evicted = hubStats.Evicted
 	for _, ctl := range controllers {
 		if d := ctl.Dispatch(); d != nil {
